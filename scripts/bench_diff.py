@@ -16,7 +16,10 @@ Two cell kinds are supported, distinguished per run record:
     is better (a tighter certificate); a family regresses when the
     candidate's interval_hi rises more than the budget above baseline's,
     or when the candidate interval is wider than baseline's by more than
-    the budget (a bracket that silently loosened).
+    the budget (a bracket that silently loosened).  A cell that also
+    carries "opt_closed" regresses when it flips from true to false,
+    whatever the budget: an optimum the baseline certified exactly is no
+    longer certified.  false -> true is an improvement.
 
 Exits nonzero on any regression — the same verdict the streaming bench
 applies internally via RRS_STREAMING_BASELINE, usable standalone on two
@@ -36,7 +39,7 @@ import argparse
 import json
 import sys
 
-Cell = tuple  # ("rps", value) | ("interval", lo, hi)
+Cell = tuple  # ("rps", value) | ("interval", lo, hi, opt_closed or None)
 
 
 def load_runs(path: str) -> dict[str, Cell]:
@@ -55,6 +58,7 @@ def load_runs(path: str) -> dict[str, Cell]:
         rps = run.get("rounds_per_sec")
         lo = run.get("interval_lo")
         hi = run.get("interval_hi")
+        closed = run.get("opt_closed")
         if isinstance(family, str) and isinstance(rps, (int, float)):
             out[family] = ("rps", float(rps))
         elif (
@@ -62,8 +66,9 @@ def load_runs(path: str) -> dict[str, Cell]:
             and isinstance(lo, (int, float))
             and isinstance(hi, (int, float))
             and float(lo) <= float(hi)
+            and (closed is None or isinstance(closed, bool))
         ):
-            out[family] = ("interval", float(lo), float(hi))
+            out[family] = ("interval", float(lo), float(hi), closed)
         else:
             raise SystemExit(f"error: malformed run record in {path}: {run}")
     return out
@@ -77,19 +82,25 @@ def diff_rps(base: Cell, cand: Cell, floor: float) -> tuple[str, str, bool]:
 def diff_interval(
     base: Cell, cand: Cell, ceiling: float
 ) -> tuple[str, str, bool]:
-    _, base_lo, base_hi = base
-    _, cand_lo, cand_hi = cand
+    _, base_lo, base_hi, base_closed = base
+    _, cand_lo, cand_hi, cand_closed = cand
     # Tightness regression: the certified upper end drifted up, or the
     # bracket width grew, beyond budget.  Zero baselines tolerate zero.
     hi_bad = cand_hi > (base_hi * ceiling if base_hi > 0 else 0)
     width_bad = (cand_hi - cand_lo) > max(
         (base_hi - base_lo) * ceiling, base_hi * (ceiling - 1.0)
     )
+    # A closed optimum that reopens is a regression at any budget.
+    reopened = base_closed is True and cand_closed is False
     return (
-        f"[{base_lo:g}, {base_hi:g}]",
-        f"[{cand_lo:g}, {cand_hi:g}]",
-        hi_bad or width_bad,
+        f"[{base_lo:g}, {base_hi:g}]{closed_mark(base_closed)}",
+        f"[{cand_lo:g}, {cand_hi:g}]{closed_mark(cand_closed)}",
+        hi_bad or width_bad or reopened,
     )
+
+
+def closed_mark(closed: bool | None) -> str:
+    return {True: " closed", False: " open", None: ""}[closed]
 
 
 def main() -> int:

@@ -65,10 +65,10 @@ void EligibilityTracker::drop_phase(Round k,
     }
   }
   if (record_drop_ids_) {
-    for (std::size_t i = 0; i < dropped.job_ids.size(); ++i) {
-      const ColorId color = dropped.job_colors[i];
-      if (!state_[idx(color)].eligible) {
-        ineligible_drop_ids_.push_back(dropped.job_ids[i]);
+    for (const PendingJobs::DroppedRun& run : dropped.runs) {
+      if (state_[idx(run.color)].eligible) continue;
+      for (std::int64_t i = 0; i < run.count; ++i) {
+        ineligible_drop_ids_.push_back(run.first_id + i);
       }
     }
   }

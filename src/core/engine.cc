@@ -327,15 +327,26 @@ void Engine::run_round(ArrivalSource* pull) {
           options_.pending_budget) {
     arrivals = admit_arrivals(arrivals, degraded_round);
   }
-  for (const Job& job : arrivals) {
-    pending_.add(job);
-    max_deadline_ = std::max(max_deadline_, job.deadline());
+  // Run-wise ingest: sources emit a color-round batch as consecutive ids
+  // sharing one deadline, so each batch costs one store call.
+  for (std::size_t i = 0; i < arrivals.size();) {
+    const Job& first = arrivals[i];
+    const Round deadline = first.deadline();
+    std::size_t end = i + 1;
+    while (end < arrivals.size() && arrivals[end].color == first.color &&
+           arrivals[end].id == first.id + static_cast<JobId>(end - i) &&
+           arrivals[end].deadline() == deadline &&
+           arrivals[end].length == first.length) {
+      ++end;
+    }
+    const auto count = static_cast<std::int64_t>(end - i);
+    pending_.add_run(first.color, first.id, count, deadline, first.length);
+    max_deadline_ = std::max(max_deadline_, deadline);
+    if (obs != nullptr) obs->stats.on_arrival(first.color, count);
+    i = end;
   }
   result_.arrived += static_cast<std::int64_t>(arrivals.size());
   result_.peak_pending = std::max(result_.peak_pending, pending_.total());
-  if (obs != nullptr) {
-    for (const Job& job : arrivals) obs->stats.on_arrival(job.color);
-  }
   if (timers_ != nullptr) timers_->note(EnginePhase::kArrival);
 
   const ArrivalSource& ctx_source =
@@ -423,13 +434,16 @@ std::span<const Job> Engine::admit_arrivals(std::span<const Job> arrivals,
               const Cost cb = model.drop_cost(arrivals[b].color);
               return ca != cb ? ca < cb : a > b;
             });
-  std::vector<char> is_shed(arrivals.size(), 0);
-  for (std::size_t i = 0; i < shed; ++i) is_shed[shed_order_[i]] = 1;
+  // Jobs of one color-round share a drop cost, so the later ones shed
+  // first: the survivors of every batch stay an id prefix and still
+  // ingest as one run.
+  is_shed_.assign(arrivals.size(), 0);
+  for (std::size_t i = 0; i < shed; ++i) is_shed_[shed_order_[i]] = 1;
   admitted_.clear();
   Cost shed_cost = 0;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const Job& job = arrivals[i];
-    if (is_shed[i] == 0) {
+    if (is_shed_[i] == 0) {
       admitted_.push_back(job);
       continue;
     }

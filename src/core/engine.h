@@ -250,6 +250,7 @@ class Engine {
   PendingJobs::DropResult dropped_;  // reused across rounds
   std::vector<Job> admitted_;        // admission-control scratch
   std::vector<std::size_t> shed_order_;
+  std::vector<char> is_shed_;
   std::unique_ptr<FaultCursor> faults_;
   PhaseTimers* timers_ = nullptr;
   bool tracing_ = false;

@@ -21,11 +21,6 @@ namespace {
 
 void PendingJobs::reset(ColorId num_colors) {
   RRS_REQUIRE(num_colors >= 0, "negative color count");
-  slot_deadline_.clear();
-  slot_id_.clear();
-  slot_remaining_.clear();
-  slot_next_.clear();
-  free_head_ = -1;
   queues_.assign(static_cast<std::size_t>(num_colors), {});
   ring_.clear();
   ring_mask_ = 0;
@@ -34,66 +29,44 @@ void PendingJobs::reset(ColorId num_colors) {
   total_ = 0;
 }
 
-std::int32_t PendingJobs::acquire_slot() {
-  if (free_head_ >= 0) {
-    const std::int32_t slot = free_head_;
-    free_head_ = slot_next_[static_cast<std::size_t>(slot)];
-    return slot;
+void PendingJobs::push_run(ColorQueue& q, const Run& run) {
+  if (q.size == q.ring.size()) {
+    RRS_CHECK_MSG(q.size < (std::uint32_t{1} << 31),
+                  "pending ring exceeds 2^31 runs");
+    std::vector<Run> grown(std::max<std::size_t>(4, q.ring.size() * 2));
+    for (std::uint32_t i = 0; i < q.size; ++i) {
+      grown[i] = q.ring[(q.head + i) & (q.ring.size() - 1)];
+    }
+    q.ring = std::move(grown);
+    q.head = 0;
   }
-  const auto slot = static_cast<std::int64_t>(slot_deadline_.size());
-  RRS_CHECK_MSG(slot <= INT32_MAX, "pending slot pool exceeds 2^31 jobs");
-  slot_deadline_.emplace_back();
-  slot_id_.emplace_back();
-  slot_remaining_.emplace_back();
-  slot_next_.emplace_back();
-  return static_cast<std::int32_t>(slot);
+  q.ring[(q.head + q.size) & (q.ring.size() - 1)] = run;
+  ++q.size;
 }
 
-void PendingJobs::release_slot(std::int32_t slot) {
-  slot_next_[static_cast<std::size_t>(slot)] = free_head_;
-  free_head_ = slot;
-}
-
-void PendingJobs::add(const Job& job) {
-  push_back_job(job.color, job.id, job.deadline(), job.length);
-}
-
-void PendingJobs::restore(ColorId color, const ExportedJob& job) {
-  push_back_job(color, job.id, job.deadline, job.remaining);
-}
-
-void PendingJobs::export_color(ColorId color,
-                               std::vector<ExportedJob>& out) const {
-  for (std::int32_t s = queues_[idx(color)].head; s >= 0;
-       s = slot_next_[static_cast<std::size_t>(s)]) {
-    const auto i = static_cast<std::size_t>(s);
-    out.push_back({slot_id_[i], slot_deadline_[i], slot_remaining_[i]});
-  }
-}
-
-void PendingJobs::push_back_job(ColorId color, JobId id, Round deadline,
-                                Round remaining) {
+void PendingJobs::add_run(ColorId color, JobId first_id, std::int64_t count,
+                          Round deadline, Round length) {
   ColorQueue& q = queues_[idx(color)];
-  RRS_CHECK_MSG(
-      q.tail < 0 ||
-          slot_deadline_[static_cast<std::size_t>(q.tail)] <= deadline,
-      "per-color deadlines must be nondecreasing (color " << color << ")");
-  RRS_CHECK_MSG(remaining >= 1, "job length must be >= 1 (job " << id
-                                                                << ")");
-  const std::int32_t slot = acquire_slot();
-  const auto s = static_cast<std::size_t>(slot);
-  slot_deadline_[s] = deadline;
-  slot_id_[s] = id;
-  slot_remaining_[s] = remaining;
-  slot_next_[s] = -1;
-  if (q.tail >= 0) {
-    slot_next_[static_cast<std::size_t>(q.tail)] = slot;
+  RRS_CHECK_MSG(count >= 1, "empty run for color " << color);
+  RRS_CHECK_MSG(length >= 1, "job length must be >= 1 (job " << first_id
+                                                             << ")");
+  if (q.size == 0) {
+    push_run(q, {first_id, count, deadline, length});
+    q.head_remaining = length;
   } else {
-    q.head = slot;
+    Run& tail = q.back();
+    RRS_CHECK_MSG(tail.deadline <= deadline,
+                  "per-color deadlines must be nondecreasing (color "
+                      << color << ")");
+    if (tail.deadline == deadline && tail.length == length &&
+        tail.first_id + tail.count == first_id) {
+      tail.count += count;
+    } else {
+      push_run(q, {first_id, count, deadline, length});
+    }
   }
-  q.tail = slot;
-  ++q.count;
-  ++total_;
+  q.count += count;
+  total_ += count;
   // Deadlines are nondecreasing per color, so one hint per distinct
   // deadline suffices; the latest hinted deadline is the largest.
   if (q.last_bucketed != deadline) {
@@ -102,41 +75,17 @@ void PendingJobs::push_back_job(ColorId color, JobId id, Round deadline,
   }
 }
 
-Round PendingJobs::earliest_deadline(ColorId color) const {
+void PendingJobs::export_color(ColorId color,
+                               std::vector<ExportedJob>& out) const {
   const ColorQueue& q = queues_[idx(color)];
-  RRS_CHECK(q.head >= 0);
-  return slot_deadline_[static_cast<std::size_t>(q.head)];
-}
-
-JobId PendingJobs::pop_earliest(ColorId color) {
-  ColorQueue& q = queues_[idx(color)];
-  RRS_CHECK(q.head >= 0);
-  const std::int32_t slot = q.head;
-  const auto s = static_cast<std::size_t>(slot);
-  const JobId id = slot_id_[s];
-  q.head = slot_next_[s];
-  if (q.head < 0) q.tail = -1;
-  --q.count;
-  --total_;
-  release_slot(slot);
-  return id;
-}
-
-PendingJobs::ExecResult PendingJobs::execute_earliest(ColorId color) {
-  ColorQueue& q = queues_[idx(color)];
-  RRS_CHECK(q.head >= 0);
-  const auto s = static_cast<std::size_t>(q.head);
-  if (slot_remaining_[s] > 1) {
-    --slot_remaining_[s];
-    return {slot_id_[s], false};
+  for (std::uint32_t i = 0; i < q.size; ++i) {
+    const Run& run = q.ring[(q.head + i) & (q.ring.size() - 1)];
+    for (std::int64_t j = 0; j < run.count; ++j) {
+      const bool front = i == 0 && j == 0;
+      out.push_back({run.first_id + j, run.deadline,
+                     front ? q.head_remaining : run.length});
+    }
   }
-  return {pop_earliest(color), true};
-}
-
-Round PendingJobs::earliest_remaining(ColorId color) const {
-  const ColorQueue& q = queues_[idx(color)];
-  RRS_CHECK(q.head >= 0);
-  return slot_remaining_[static_cast<std::size_t>(q.head)];
 }
 
 void PendingJobs::checkpoint(CheckpointWriter& w) const {
@@ -218,18 +167,13 @@ void PendingJobs::drain_expired(const CalendarEntry& entry, Round round,
   // only for past-deadline adds) must re-bucket.
   if (q.last_bucketed == entry.deadline) q.last_bucketed = -1;
   std::int64_t dropped_here = 0;
-  while (q.head >= 0 &&
-         slot_deadline_[static_cast<std::size_t>(q.head)] <= round) {
-    const std::int32_t slot = q.head;
-    const auto s = static_cast<std::size_t>(slot);
-    out.job_ids.push_back(slot_id_[s]);
-    out.job_colors.push_back(entry.color);
-    q.head = slot_next_[s];
-    release_slot(slot);
-    ++dropped_here;
+  while (q.size > 0 && q.front().deadline <= round) {
+    const Run& run = q.front();
+    out.runs.push_back({entry.color, run.first_id, run.count});
+    dropped_here += run.count;
+    pop_run(q);
   }
   if (dropped_here > 0) {
-    if (q.head < 0) q.tail = -1;
     q.count -= dropped_here;
     out.by_color.emplace_back(entry.color, dropped_here);
     out.total += dropped_here;

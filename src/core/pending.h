@@ -4,17 +4,24 @@
 // deadline.  Within one color deadlines are nondecreasing in arrival order
 // (one fixed delay bound per color), so a FIFO per color suffices.
 //
-// Storage is structure-of-arrays: one flat slot pool holds every pending
-// job's deadline and id, colors thread intrusive FIFO index lists through
-// the pool, and expiry across colors is found through a bucketed calendar
-// ring keyed by deadline round.  Deadlines are bounded by `now + max D_l`,
-// so a ring of at least max D_l buckets holds every live deadline in a
-// distinct bucket and the per-round expiry sweep inspects exactly one
-// bucket.  The calendar stores *hints* ({color, deadline} pairs, one per
-// distinct deadline per color): a hint whose jobs were already executed
-// drains nothing, exactly like the lazy heap entries it replaces — but a
-// sweep touches only the buckets of the rounds it covers instead of paying
-// a log-factor pop per hint.
+// Storage is run-length: the paper's batched model delivers a color's jobs
+// in batches that share one deadline, and every source hands out dense
+// ids in emission order, so a batch is a *run* {first_id, count,
+// deadline}.  Each color's FIFO is a ring of runs; add() extends the tail
+// run when the job continues it (same deadline, same length, id ==
+// first_id + count) and opens a new run otherwise, so any arrival order
+// stays correct.  Ingest, expiry and execution cost O(runs), not O(jobs).
+// Partial execution only ever touches a color's front job, so the color
+// carries one remaining-length lane for that job; every other job of a run
+// still needs the run's full length.
+//
+// Expiry across colors is found through a bucketed calendar ring keyed by
+// deadline round.  Deadlines are bounded by `now + max D_l`, so a ring of
+// at least max D_l buckets holds every live deadline in a distinct bucket
+// and the per-round expiry sweep inspects exactly one bucket.  The
+// calendar stores *hints* ({color, deadline} pairs, one per distinct
+// deadline per color): a hint whose jobs were already executed drains
+// nothing, and a sweep touches only the buckets of the rounds it covers.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +30,7 @@
 
 #include "core/job.h"
 #include "core/types.h"
+#include "util/check.h"
 
 namespace rrs {
 
@@ -38,8 +46,18 @@ class PendingJobs {
   /// Prepares bookkeeping for colors [0, num_colors); discards any state.
   void reset(ColorId num_colors);
 
-  /// Adds a newly arrived job.  Amortized O(1).
-  void add(const Job& job);
+  /// Adds a newly arrived job, extending `job.color`'s tail run when the
+  /// job continues it.  Amortized O(1).
+  void add(const Job& job) {
+    add_run(job.color, job.id, 1, job.deadline(), job.length);
+  }
+
+  /// Adds `count` >= 1 jobs of `color` with ids first_id .. first_id +
+  /// count - 1, all expiring at `deadline` and each needing `length`
+  /// execution units.  Equivalent to add() of each job in id order, at the
+  /// cost of one.
+  void add_run(ColorId color, JobId first_id, std::int64_t count,
+               Round deadline, Round length);
 
   /// Number of pending jobs of `color`.
   [[nodiscard]] std::int64_t count(ColorId color) const {
@@ -48,21 +66,45 @@ class PendingJobs {
 
   /// True iff `color` has no pending jobs (the paper's "idle").
   [[nodiscard]] bool idle(ColorId color) const {
-    return queues_[idx(color)].head < 0;
+    return queues_[idx(color)].count == 0;
   }
 
   /// Total pending jobs across all colors.
   [[nodiscard]] std::int64_t total() const { return total_; }
 
+  /// Runs stored for `color`: maximal stretches of its pending jobs with
+  /// one deadline, one length and consecutive ids, as far as add() could
+  /// coalesce them.
+  [[nodiscard]] std::int64_t run_count(ColorId color) const {
+    return queues_[idx(color)].size;
+  }
+
   /// Deadline of the earliest-deadline pending job of `color`.
   /// Requires count(color) > 0.
-  [[nodiscard]] Round earliest_deadline(ColorId color) const;
+  [[nodiscard]] Round earliest_deadline(ColorId color) const {
+    const ColorQueue& q = queues_[idx(color)];
+    RRS_CHECK(q.count > 0);
+    return q.front().deadline;
+  }
 
   /// Removes and returns the earliest-deadline pending job of `color`
   /// (i.e. executes it).  Requires count(color) > 0.  Equivalent to
   /// execute_earliest() for unit-length jobs; multi-unit jobs must go
   /// through execute_earliest() so partial progress is tracked.
-  JobId pop_earliest(ColorId color);
+  JobId pop_earliest(ColorId color) {
+    ColorQueue& q = queues_[idx(color)];
+    RRS_CHECK(q.count > 0);
+    Run& front = q.front();
+    const JobId id = front.first_id++;
+    --q.count;
+    --total_;
+    if (--front.count == 0) {
+      pop_run(q);
+    } else {
+      q.head_remaining = front.length;
+    }
+    return id;
+  }
 
   /// One execution unit applied to a job.
   struct ExecResult {
@@ -76,11 +118,32 @@ class PendingJobs {
   /// executed: progress always goes to the front (EDF within color), and a
   /// front job that expires is dropped at full weight, so partial progress
   /// never outlives the front position.
-  ExecResult execute_earliest(ColorId color);
+  ExecResult execute_earliest(ColorId color) {
+    ColorQueue& q = queues_[idx(color)];
+    RRS_CHECK(q.count > 0);
+    if (q.head_remaining > 1) {
+      --q.head_remaining;
+      return {q.front().first_id, false};
+    }
+    return {pop_earliest(color), true};
+  }
 
   /// Remaining execution units of the earliest-deadline pending job of
   /// `color`.  Requires count(color) > 0.
-  [[nodiscard]] Round earliest_remaining(ColorId color) const;
+  [[nodiscard]] Round earliest_remaining(ColorId color) const {
+    const ColorQueue& q = queues_[idx(color)];
+    RRS_CHECK(q.count > 0);
+    return q.head_remaining;
+  }
+
+  /// A stretch of dropped jobs of one color with consecutive ids.
+  struct DroppedRun {
+    ColorId color = 0;
+    JobId first_id = 0;
+    std::int64_t count = 0;
+
+    friend bool operator==(const DroppedRun&, const DroppedRun&) = default;
+  };
 
   /// Result of an expiry sweep.
   struct DropResult {
@@ -88,18 +151,16 @@ class PendingJobs {
     /// (color, count) pairs for colors that dropped >= 1 job, ascending
     /// color order not guaranteed.
     std::vector<std::pair<ColorId, std::int64_t>> by_color;
-    /// Ids of every dropped job, unordered.
-    std::vector<JobId> job_ids;
-    /// Color of each dropped job, parallel to `job_ids` (so consumers
-    /// never need the full job table — streaming runs have none).
-    std::vector<ColorId> job_colors;
+    /// Every dropped job, as runs of consecutive ids, unordered (so
+    /// consumers never need the full job table — streaming runs have
+    /// none).  The counts sum to `total`.
+    std::vector<DroppedRun> runs;
 
     /// Empties the result, keeping allocated capacity for reuse.
     void clear() {
       total = 0;
       by_color.clear();
-      job_ids.clear();
-      job_colors.clear();
+      runs.clear();
     }
   };
 
@@ -121,18 +182,22 @@ class PendingJobs {
     Round remaining = 1;
   };
 
-  /// Appends `color`'s pending jobs to `out` in FIFO (deadline) order.
+  /// Appends `color`'s pending jobs to `out` in FIFO (deadline) order,
+  /// one entry per job.
   void export_color(ColorId color, std::vector<ExportedJob>& out) const;
 
   /// Re-adds an exported job under `color` (the receiving store's local
   /// id).  Restore jobs in their exported order so per-color deadlines
-  /// stay nondecreasing.
-  void restore(ColorId color, const ExportedJob& job);
+  /// stay nondecreasing; consecutive jobs re-coalesce into runs.
+  void restore(ColorId color, const ExportedJob& job) {
+    add_run(color, job.id, 1, job.deadline, job.remaining);
+  }
 
   // --- checkpoint/restore (crash-safe service mode) ---
 
   /// Serializes the sweep cursor and every color's FIFO (ids, deadlines,
-  /// partial progress) into the writer's current section.
+  /// partial progress — one entry per job) into the writer's current
+  /// section.
   void checkpoint(CheckpointWriter& w) const;
 
   /// Restores state written by checkpoint() into this store, which must
@@ -142,13 +207,33 @@ class PendingJobs {
   void restore_checkpoint(CheckpointReader& r);
 
  private:
-  struct ColorQueue {
-    std::int32_t head = -1;  ///< slot of the earliest-deadline job
-    std::int32_t tail = -1;  ///< slot of the latest-deadline job
+  /// Jobs first_id .. first_id + count - 1 of one color, all expiring at
+  /// `deadline`.  `length` is what each not-yet-started job of the run
+  /// needs; the front job's progress lives in ColorQueue::head_remaining.
+  struct Run {
+    JobId first_id = 0;
     std::int64_t count = 0;
+    Round deadline = 0;
+    Round length = 1;
+  };
+
+  /// One color's FIFO: a ring of runs with power-of-two capacity.
+  struct ColorQueue {
+    std::vector<Run> ring;
+    std::uint32_t head = 0;  ///< ring index of the earliest-deadline run
+    std::uint32_t size = 0;  ///< runs stored
+    std::int64_t count = 0;  ///< jobs stored
+    /// Execution units left on the front job (meaningful iff count > 0).
+    Round head_remaining = 0;
     /// Largest deadline with an outstanding calendar hint for this color
     /// (-1 if none): adds of an already-hinted deadline skip the calendar.
     Round last_bucketed = -1;
+
+    [[nodiscard]] const Run& front() const { return ring[head]; }
+    [[nodiscard]] Run& front() { return ring[head]; }
+    [[nodiscard]] Run& back() {
+      return ring[(head + size - 1) & (ring.size() - 1)];
+    }
   };
 
   /// Calendar hint: color may hold jobs expiring at `deadline`.
@@ -161,12 +246,15 @@ class PendingJobs {
     return static_cast<std::size_t>(color);
   }
 
-  [[nodiscard]] std::int32_t acquire_slot();
-  void release_slot(std::int32_t slot);
+  /// Appends a run to `q`'s ring, doubling the ring when full.
+  static void push_run(ColorQueue& q, const Run& run);
 
-  /// Appends one job to `color`'s FIFO (shared by add() and restore()).
-  void push_back_job(ColorId color, JobId id, Round deadline,
-                     Round remaining);
+  /// Drops `q`'s front run; the next run's front job starts unexecuted.
+  static void pop_run(ColorQueue& q) {
+    q.head = (q.head + 1) & static_cast<std::uint32_t>(q.ring.size() - 1);
+    --q.size;
+    if (q.size > 0) q.head_remaining = q.front().length;
+  }
 
   /// Records the hint {color, deadline} in the ring bucket of
   /// max(deadline, cursor_ + 1), growing the ring when the deadline lies
@@ -182,16 +270,7 @@ class PendingJobs {
   void drain_expired(const CalendarEntry& entry, Round round,
                      DropResult& out);
 
-  // Slot pool (structure-of-arrays): parallel per-job attributes plus an
-  // intrusive "next job of the same color" chain; freed slots reuse the
-  // next-chain as a free list.
-  std::vector<Round> slot_deadline_;
-  std::vector<JobId> slot_id_;
-  std::vector<Round> slot_remaining_;  ///< execution units left (>= 1)
-  std::vector<std::int32_t> slot_next_;
-  std::int32_t free_head_ = -1;
-
-  std::vector<ColorQueue> queues_;  // color -> FIFO through the slot pool
+  std::vector<ColorQueue> queues_;  // color -> FIFO of runs
 
   // Expiry calendar: power-of-two ring of hint buckets, indexed by
   // deadline & (ring size - 1).  cursor_ is the last swept round; hints

@@ -64,9 +64,10 @@ class StreamStats {
 
   // --- hot-path hooks (all O(1), allocation-free) --------------------------
 
-  void on_arrival(ColorId color) {
-    ++arrived_;
-    ++per_color_[static_cast<std::size_t>(color)].arrived;
+  /// Counts `count` arrivals of `color` (one color-round run at a time).
+  void on_arrival(ColorId color, std::int64_t count = 1) {
+    arrived_ += count;
+    per_color_[static_cast<std::size_t>(color)].arrived += count;
   }
 
   /// Called just before a job of `color` with the given deadline executes in

@@ -347,10 +347,9 @@ class GeneratorSource : public ArrivalSource {
                                                 << " not in this view");
     }
     observed_[static_cast<std::size_t>(out)] += count;
-    for (std::int64_t i = 0; i < count; ++i) {
-      buffer_.push_back(Job{next_id_++, out, k, delay_bounds_[c],
-                            drop_costs_[c], lengths_[c]});
-    }
+    Job job{next_id_, out, k, delay_bounds_[c], drop_costs_[c], lengths_[c]};
+    for (std::int64_t i = 0; i < count; ++i, ++job.id) buffer_.push_back(job);
+    next_id_ = job.id;
   }
 
   /// Produces round `k`'s arrivals via emit().  Called once per round, in
@@ -392,6 +391,16 @@ class GeneratorSource : public ArrivalSource {
     (void)r;
     RRS_REQUIRE(false, "this generator family does not support restore: "
                            << summary());
+  }
+
+  /// Changes whenever restrict_to()/reassign() changes the color set, so
+  /// subclasses can rebuild per-view caches lazily.
+  [[nodiscard]] std::uint64_t view_epoch() const { return view_epoch_; }
+
+  /// True iff this view synthesizes global color `color` (every color on
+  /// an unrestricted source).
+  [[nodiscard]] bool in_view(ColorId color) const {
+    return !restricted_ || local_of_global_[checked_global(color)] != kBlack;
   }
 
   /// Rng (de)serialization helpers for checkpoint_extra overrides.
@@ -437,6 +446,7 @@ class GeneratorSource : public ArrivalSource {
           static_cast<ColorId>(i);
     }
     observed_.assign(active_.size(), 0);
+    ++view_epoch_;
     model_ready_ = false;
     delay_index_ready_ = false;
   }
@@ -450,6 +460,7 @@ class GeneratorSource : public ArrivalSource {
   // Restriction state.
   bool restricted_ = false;
   bool discard_ = false;                  // reassign fast-forward in flight
+  std::uint64_t view_epoch_ = 0;          // bumped per color-set change
   std::vector<ColorId> active_;           // global ids, ascending
   std::vector<ColorId> local_of_global_;  // kBlack when not in this view
   std::vector<Round> synced_to_;          // per-global-color replay position

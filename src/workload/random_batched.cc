@@ -1,6 +1,7 @@
 #include "workload/random_batched.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -43,9 +44,35 @@ std::unique_ptr<GeneratorSource> RandomBatchedSource::clone() const {
   return std::make_unique<RandomBatchedSource>(params_);
 }
 
+void RandomBatchedSource::build_due_lists() {
+  const auto scales = static_cast<std::size_t>(params_.max_scale) + 1;
+  due_.assign(scales, {});
+  for (std::size_t c = 0; c < delays_.size(); ++c) {
+    const auto color = static_cast<ColorId>(c);
+    if (!in_view(color)) continue;
+    const auto scale = static_cast<std::size_t>(
+        std::countr_zero(static_cast<std::uint64_t>(delays_[c])));
+    for (std::size_t t = scale; t < scales; ++t) due_[t].push_back(color);
+  }
+  due_epoch_ = view_epoch();
+}
+
+void RandomBatchedSource::synthesize(Round k) {
+  if (due_epoch_ != view_epoch()) build_due_lists();
+  // ctz(0) == 64, so round 0 (due for every color) takes the last list.
+  const int t = std::min(std::countr_zero(static_cast<std::uint64_t>(k)),
+                         params_.max_scale);
+  for (const ColorId color : due_[static_cast<std::size_t>(t)]) {
+    draw_batch(color, k);
+  }
+}
+
 void RandomBatchedSource::synthesize_color(ColorId color, Round k) {
+  if (k % delays_[static_cast<std::size_t>(color)] == 0) draw_batch(color, k);
+}
+
+void RandomBatchedSource::draw_batch(ColorId color, Round k) {
   const auto c = static_cast<std::size_t>(color);
-  if (k % delays_[c] != 0) return;
   Rng& stream = streams_[c];
   if (!stream.bernoulli(activity_)) return;
   emit(color, k, stream.uniform(1, max_batch_[c]));

@@ -47,7 +47,17 @@ class RandomBatchedSource final : public GeneratorSource {
   [[nodiscard]] std::unique_ptr<GeneratorSource> clone() const override;
 
  private:
+  /// Visits only the colors whose delay bound divides `k`: every other
+  /// color draws nothing this round, so skipping it changes no id, order
+  /// or RNG draw.
+  void synthesize(Round k) override;
   void synthesize_color(ColorId color, Round k) override;
+
+  /// Round-`k` draws of a color due at `k`: activity, then batch size.
+  void draw_batch(ColorId color, Round k);
+
+  /// Rebuilds due_ for the current view.
+  void build_due_lists();
 
   /// The only mutable generation state is the per-color RNG streams;
   /// everything else is parameter-derived at construction.
@@ -66,6 +76,12 @@ class RandomBatchedSource final : public GeneratorSource {
   std::vector<Round> delays_;          // global-indexed (views relabel)
   std::vector<std::int64_t> max_batch_;
   double activity_;
+  /// due_[t]: the view's colors (global ids, ascending) with delay bound
+  /// 2^s, s <= t — the colors due at every round k with
+  /// min(ctz(k), max_scale) == t.  Built on the first pull after each
+  /// view change, never in the constructor.
+  std::vector<std::vector<ColorId>> due_;
+  std::uint64_t due_epoch_ = ~std::uint64_t{0};
 };
 
 /// Builds a random batched instance (materializes the streaming source;

@@ -9,12 +9,15 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/engine.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
@@ -321,19 +324,68 @@ TEST(CheckpointMismatch, RejectsDifferentOptionsOrPolicy) {
 
 // --- pending-budget admission control --------------------------------------
 
-StreamRunRecord run_with_budget(std::int64_t budget, std::int64_t* peak,
-                                Observer* obs = nullptr) {
+/// Forwards to the wrapped policy and keeps every round's admitted
+/// arrivals (what the engine ingested after admission control).
+class AdmittedRecorder final : public Policy {
+ public:
+  explicit AdmittedRecorder(std::unique_ptr<Policy> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return inner_->name();
+  }
+  void begin(const ArrivalSource& source, int num_resources,
+             int speed) override {
+    inner_->begin(source, num_resources, speed);
+  }
+  void on_round(RoundContext& ctx) override {
+    if (ctx.first_mini() && !ctx.final_sweep() && !ctx.arrivals().empty()) {
+      std::vector<Job> jobs(ctx.arrivals().begin(), ctx.arrivals().end());
+      admitted.emplace_back(ctx.round(), std::move(jobs));
+    }
+    inner_->on_round(ctx);
+  }
+  void on_capacity_change(Round round, int up, int total,
+                          std::span<const ColorId> evicted) override {
+    inner_->on_capacity_change(round, up, total, evicted);
+  }
+  [[nodiscard]] int resource_granularity(int replication) const override {
+    return inner_->resource_granularity(replication);
+  }
+  [[nodiscard]] bool supports_fast_forward() const override {
+    return inner_->supports_fast_forward();
+  }
+  [[nodiscard]] Round next_policy_event(Round k) const override {
+    return inner_->next_policy_event(k);
+  }
+  [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()
+      const override {
+    return inner_->stats();
+  }
+
+  std::vector<std::pair<Round, std::vector<Job>>> admitted;
+
+ private:
+  std::unique_ptr<Policy> inner_;
+};
+
+StreamRunRecord run_with_budget(
+    std::int64_t budget, std::int64_t* peak, Observer* obs = nullptr,
+    std::vector<std::pair<Round, std::vector<Job>>>* admitted = nullptr) {
   const auto source = make_source("flash-crowd", 7);
-  std::unique_ptr<Policy> policy;
-  EngineOptions options = stream_options("dlru-edf", true, policy);
+  std::unique_ptr<Policy> inner;
+  EngineOptions options = stream_options("dlru-edf", true, inner);
   options.num_resources = 4;  // starve the spike so pending piles up
   options.record_schedule = false;
   options.pending_budget = budget;
   options.observer = obs;
+  AdmittedRecorder recorder(std::move(inner));
+  Policy* policy = &recorder;
   Engine engine(*source, *policy, options);
   engine.run_rounds(*source, engine.arrival_end());
   EngineResult result = engine.finish();
   if (peak != nullptr) *peak = result.peak_pending;
+  if (admitted != nullptr) *admitted = std::move(recorder.admitted);
   StreamRunRecord record;
   record.cost = result.cost;
   record.executed = result.executed;
@@ -354,8 +406,35 @@ TEST(AdmissionControl, FlashCrowdHoldsBudgetAndCountsRejections) {
 
   Observer obs;
   std::int64_t peak = 0;
-  const StreamRunRecord on = run_with_budget(32, &peak, &obs);
+  std::vector<std::pair<Round, std::vector<Job>>> admitted;
+  const StreamRunRecord on = run_with_budget(32, &peak, &obs, &admitted);
   EXPECT_LE(peak, 32);
+  // Shedding takes the later jobs of a color-round first, so each batch's
+  // survivors are a prefix of its ids and still ingest as one run.
+  const auto source = make_source("flash-crowd", 7);
+  Round pulled = 0;
+  std::int64_t shed_rounds = 0;
+  for (const auto& [round, jobs] : admitted) {
+    std::span<const Job> all;
+    while (pulled <= round) all = source->arrivals_in_round(pulled++);
+    ASSERT_LE(jobs.size(), all.size()) << "round " << round;
+    if (jobs.size() < all.size()) ++shed_rounds;
+    std::size_t i = 0;
+    for (std::size_t a = 0; a < all.size();) {
+      const ColorId color = all[a].color;
+      std::size_t kept = 0;
+      while (i < jobs.size() && jobs[i].color == color) {
+        ASSERT_LT(a + kept, all.size());
+        EXPECT_EQ(jobs[i], all[a + kept])
+            << "round " << round << " color " << color;
+        ++i;
+        ++kept;
+      }
+      while (a < all.size() && all[a].color == color) ++a;
+    }
+    EXPECT_EQ(i, jobs.size()) << "round " << round;
+  }
+  EXPECT_GT(shed_rounds, 0);
   EXPECT_GT(on.admission_rejected, 0);
   EXPECT_EQ(on.arrived, off.arrived) << "shed jobs still count as arrivals";
   EXPECT_EQ(obs.stats.admission_rejected(), on.admission_rejected);
@@ -406,6 +485,97 @@ TEST(AdmissionControl, BudgetStateSurvivesCheckpoint) {
   const EngineResult resumed = run(true);
   ASSERT_GT(straight.admission_rejected, 0);
   expect_identical(straight, resumed, "budgeted round trip");
+}
+
+// --- format pin -----------------------------------------------------------
+
+// tests/data/dense_mid_run.rrsckpt was written by checkpoint format 1.0
+// with the per-job pending store: the dense benchmark's generator
+// parameters (32 colors, delay bounds 4..64, Delta 8) at horizon 1024,
+// dlru-edf on 8 resources, checkpointed after round 700 with the source
+// embedded.  The pending section keeps its per-job layout whatever the
+// store looks like in memory, so the same run must still write exactly
+// these bytes, and the file must still resume bit-identically.
+constexpr Round kPinnedRound = 700;
+constexpr std::uint64_t kPinnedPayloadBytes = 7464;
+constexpr std::uint32_t kPinnedPayloadCrc = 0xa6e80e09;
+
+std::unique_ptr<GeneratorSource> dense_source() {
+  RandomBatchedParams params;
+  params.seed = 1;
+  params.delta = 8;
+  params.num_colors = 32;
+  params.min_scale = 2;
+  params.max_scale = 6;
+  params.horizon = 1024;
+  return std::make_unique<RandomBatchedSource>(params);
+}
+
+EngineOptions dense_options(std::unique_ptr<Policy>& policy) {
+  EngineOptions options;
+  policy = make_stream_policy("dlru-edf", options);
+  options.num_resources = 8;
+  options.record_schedule = false;
+  options.drain_pending = true;
+  return options;
+}
+
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(std::string(RRS_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << name;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Little-endian unsigned field of `bytes` at `offset`.
+std::uint64_t le_field(const std::string& bytes, std::size_t offset,
+                       std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(bytes[offset + i])}
+         << (8 * i);
+  }
+  return v;
+}
+
+TEST(CheckpointFormat, DenseMidRunBytesArePinned) {
+  const auto source = dense_source();
+  std::unique_ptr<Policy> policy;
+  const EngineOptions options = dense_options(policy);
+  Engine engine(*source, *policy, options);
+  engine.run_rounds(*source, kPinnedRound);
+  std::ostringstream out(std::ios::binary);
+  engine.checkpoint(out, source.get());
+  const std::string bytes = out.str();
+  // Header: magic[8] major u32 minor u32 length u64 crc u32.
+  ASSERT_GE(bytes.size(), 28u);
+  EXPECT_EQ(le_field(bytes, 8, 4), 1u) << "format change needs a new pin";
+  EXPECT_EQ(le_field(bytes, 12, 4), 0u) << "format change needs a new pin";
+  EXPECT_EQ(le_field(bytes, 16, 8), kPinnedPayloadBytes);
+  EXPECT_EQ(le_field(bytes, 24, 4), kPinnedPayloadCrc);
+  EXPECT_EQ(bytes, read_fixture("dense_mid_run.rrsckpt"));
+}
+
+TEST(CheckpointFormat, CommittedDenseCheckpointResumesBitIdentical) {
+  const auto ref_source = dense_source();
+  std::unique_ptr<Policy> ref_policy;
+  const EngineOptions ref_options = dense_options(ref_policy);
+  Engine ref_engine(*ref_source, *ref_policy, ref_options);
+  ref_engine.run_rounds(*ref_source, ref_engine.arrival_end());
+  const EngineResult reference = ref_engine.finish();
+
+  std::istringstream in(read_fixture("dense_mid_run.rrsckpt"),
+                        std::ios::binary);
+  const auto source = dense_source();
+  std::unique_ptr<Policy> policy;
+  const EngineOptions options = dense_options(policy);
+  Engine engine(*source, *policy, options);
+  engine.restore(in, source.get());
+  EXPECT_EQ(engine.round(), kPinnedRound);
+  engine.run_rounds(*source, engine.arrival_end());
+  const EngineResult resumed = engine.finish();
+  expect_identical(reference, resumed, "committed dense checkpoint");
+  EXPECT_GT(resumed.arrived, 0);
 }
 
 }  // namespace

@@ -1,14 +1,21 @@
 // Unit tests for core/pending: deadline-ordered pending job bookkeeping
-// over the SoA slot pool and the bucketed expiry calendar.
+// over the run-length per-color FIFOs and the bucketed expiry calendar,
+// plus a differential harness against a per-job reference twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <limits>
+#include <map>
+#include <sstream>
+#include <utility>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/pending.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "workload/random_batched.h"
 
 namespace rrs {
 namespace {
@@ -20,6 +27,18 @@ Job make_job(JobId id, ColorId color, Round arrival, Round delay) {
   job.arrival = arrival;
   job.delay_bound = delay;
   return job;
+}
+
+/// Ids of every dropped job, expanded from the result's runs in drop
+/// order.
+std::vector<JobId> dropped_ids(const PendingJobs::DropResult& result) {
+  std::vector<JobId> ids;
+  for (const PendingJobs::DroppedRun& run : result.runs) {
+    for (std::int64_t i = 0; i < run.count; ++i) {
+      ids.push_back(run.first_id + i);
+    }
+  }
+  return ids;
 }
 
 /// Sweep helper for tests that only care about the result of one sweep.
@@ -67,7 +86,7 @@ TEST(PendingJobs, DropExpiredByDeadline) {
   ASSERT_EQ(at2.by_color.size(), 1u);
   EXPECT_EQ(at2.by_color[0].first, 0);
   EXPECT_EQ(at2.by_color[0].second, 1);
-  EXPECT_EQ(at2.job_ids, std::vector<JobId>{0});
+  EXPECT_EQ(dropped_ids(at2), std::vector<JobId>{0});
   EXPECT_EQ(pending.total(), 2);
 
   const auto at10 = drop_at(pending, 10);
@@ -147,7 +166,7 @@ TEST(PendingJobs, SweepBufferIsClearedAndReused) {
   EXPECT_EQ(out.total, 1);
   pending.drop_expired(2, out);  // must clear the previous sweep's content
   EXPECT_EQ(out.total, 1);
-  EXPECT_EQ(out.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(dropped_ids(out), std::vector<JobId>{1});
 }
 
 TEST(PendingJobs, StaleHintsAfterPopDrainNothing) {
@@ -169,7 +188,7 @@ TEST(PendingJobs, StaleHintsAfterPopDrainNothing) {
 
   const auto at6 = drop_at(pending, 6);
   EXPECT_EQ(at6.total, 1);
-  EXPECT_EQ(at6.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(dropped_ids(at6), std::vector<JobId>{1});
   EXPECT_EQ(pending.total(), 0);
 }
 
@@ -187,7 +206,7 @@ TEST(PendingJobs, InterleavedPopAndDropAcrossSweeps) {
   EXPECT_EQ(pending.pop_earliest(0), 3);           // deadline 6 executed
   const auto at7 = drop_at(pending, 7);            // job 4 (deadline 7)
   EXPECT_EQ(at7.total, 1);
-  EXPECT_EQ(at7.job_ids, std::vector<JobId>{4});
+  EXPECT_EQ(dropped_ids(at7), std::vector<JobId>{4});
   EXPECT_EQ(pending.count(0), 1);
   EXPECT_EQ(pending.earliest_deadline(0), 8);
 }
@@ -233,7 +252,7 @@ TEST(PendingJobs, FarFutureDeadlinesSurviveRingGrowth) {
   EXPECT_EQ(drop_at(pending, 99'999).total, 0);
   const auto at_far = drop_at(pending, 100'000);
   EXPECT_EQ(at_far.total, 1);
-  EXPECT_EQ(at_far.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(dropped_ids(at_far), std::vector<JobId>{1});
   EXPECT_EQ(pending.total(), 0);
 }
 
@@ -248,7 +267,7 @@ TEST(PendingJobs, RingWraparoundKeepsLaterCycleEntries) {
 
   const auto at10 = drop_at(pending, 10);
   EXPECT_EQ(at10.total, 1);
-  EXPECT_EQ(at10.job_ids, std::vector<JobId>{0});
+  EXPECT_EQ(dropped_ids(at10), std::vector<JobId>{0});
   EXPECT_EQ(pending.count(1), 1);
 
   EXPECT_EQ(drop_at(pending, 73).total, 0);
@@ -331,8 +350,8 @@ TEST(PendingJobs, PartiallyExecutedFrontJobStillExpires) {
   (void)pending.execute_earliest(0);  // 1 of 3 units applied
   const PendingJobs::DropResult dropped = drop_at(pending, 2);
   EXPECT_EQ(dropped.total, 1);  // expires as a whole job despite progress
-  ASSERT_EQ(dropped.job_ids.size(), 1u);
-  EXPECT_EQ(dropped.job_ids[0], 0);
+  ASSERT_EQ(dropped_ids(dropped).size(), 1u);
+  EXPECT_EQ(dropped_ids(dropped)[0], 0);
   EXPECT_TRUE(pending.idle(0));
 }
 
@@ -347,7 +366,7 @@ TEST(PendingJobs, EmptySetSweepJumpsInConstantTime) {
   pending.add(make_job(1, 0, 1'000'000'000, 4));
   const auto dropped = drop_at(pending, 1'000'000'004);
   EXPECT_EQ(dropped.total, 1);
-  EXPECT_EQ(dropped.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(dropped_ids(dropped), std::vector<JobId>{1});
 }
 
 TEST(PendingJobs, EmptySetJumpResetsStaleHints) {
@@ -362,7 +381,7 @@ TEST(PendingJobs, EmptySetJumpResetsStaleHints) {
   pending.add(make_job(1, 0, 5, 3));      // deadline 8 again
   const auto dropped = drop_at(pending, 8);
   EXPECT_EQ(dropped.total, 1);
-  EXPECT_EQ(dropped.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(dropped_ids(dropped), std::vector<JobId>{1});
   EXPECT_TRUE(pending.idle(0));
 }
 
@@ -449,7 +468,7 @@ TEST_P(PendingDifferential, MatchesNaiveReferenceUnderRandomOps) {
       pending.drop_expired(now, out);
       const auto [naive_total, naive_ids] = naive.drop_expired(now);
       EXPECT_EQ(out.total, naive_total) << "round " << now;
-      std::vector<JobId> got = out.job_ids;
+      std::vector<JobId> got = dropped_ids(out);
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, naive_ids) << "round " << now;
       std::int64_t by_color_sum = 0;
@@ -465,6 +484,358 @@ TEST_P(PendingDifferential, MatchesNaiveReferenceUnderRandomOps) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PendingDifferential,
                          ::testing::Range(std::uint64_t{1},
                                           std::uint64_t{9}));
+
+// --- run-length store vs per-job reference twin ---------------------------
+
+/// The per-job store the run-length one replaced: one slot per job in a
+/// structure-of-arrays pool, intrusive per-color FIFO chains, the same
+/// calendar-hint discipline.  Kept here as the reference twin.
+class PerJobPending {
+ public:
+  explicit PerJobPending(ColorId num_colors)
+      : queues_(static_cast<std::size_t>(num_colors)) {}
+
+  void add(ColorId color, JobId id, Round deadline, Round remaining) {
+    Queue& q = queues_[idx(color)];
+    const auto slot = static_cast<std::int32_t>(deadline_.size());
+    deadline_.push_back(deadline);
+    id_.push_back(id);
+    remaining_.push_back(remaining);
+    next_.push_back(-1);
+    if (q.tail >= 0) {
+      next_[idx(q.tail)] = slot;
+    } else {
+      q.head = slot;
+    }
+    q.tail = slot;
+    ++q.count;
+    ++total_;
+    if (q.last_bucketed != deadline) {
+      const Round target = std::max(deadline, cursor_ + 1);
+      hints_.emplace(target, Hint{color, deadline});
+      q.last_bucketed = deadline;
+    }
+  }
+
+  [[nodiscard]] std::int64_t count(ColorId color) const {
+    return queues_[idx(color)].count;
+  }
+  [[nodiscard]] std::int64_t total() const { return total_; }
+  [[nodiscard]] Round earliest_deadline(ColorId color) const {
+    return deadline_[idx(queues_[idx(color)].head)];
+  }
+  [[nodiscard]] Round earliest_remaining(ColorId color) const {
+    return remaining_[idx(queues_[idx(color)].head)];
+  }
+
+  JobId pop_earliest(ColorId color) {
+    Queue& q = queues_[idx(color)];
+    const std::int32_t slot = q.head;
+    q.head = next_[idx(slot)];
+    if (q.head < 0) q.tail = -1;
+    --q.count;
+    --total_;
+    return id_[idx(slot)];
+  }
+
+  PendingJobs::ExecResult execute_earliest(ColorId color) {
+    const auto s = idx(queues_[idx(color)].head);
+    if (remaining_[s] > 1) {
+      --remaining_[s];
+      return {id_[s], false};
+    }
+    return {pop_earliest(color), true};
+  }
+
+  /// (color, id) of every job dropped by the round-`round` sweep.
+  std::vector<std::pair<ColorId, JobId>> drop_expired(Round round) {
+    std::vector<std::pair<ColorId, JobId>> dropped;
+    if (round <= cursor_) return dropped;
+    if (total_ == 0) {
+      hints_.clear();
+      for (Queue& q : queues_) q.last_bucketed = -1;
+      cursor_ = round;
+      return dropped;
+    }
+    // Hints are keyed by the round whose sweep finds them; a multimap
+    // stands in for the calendar ring.
+    while (!hints_.empty() && hints_.begin()->first <= round) {
+      const Hint hint = hints_.begin()->second;
+      hints_.erase(hints_.begin());
+      Queue& q = queues_[idx(hint.color)];
+      if (q.last_bucketed == hint.deadline) q.last_bucketed = -1;
+      while (q.head >= 0 && deadline_[idx(q.head)] <= round) {
+        dropped.emplace_back(hint.color, id_[idx(q.head)]);
+        q.head = next_[idx(q.head)];
+        --q.count;
+        --total_;
+      }
+      if (q.head < 0) q.tail = -1;
+    }
+    cursor_ = round;
+    return dropped;
+  }
+
+  void export_color(ColorId color,
+                    std::vector<PendingJobs::ExportedJob>& out) const {
+    for (std::int32_t s = queues_[idx(color)].head; s >= 0;
+         s = next_[idx(s)]) {
+      out.push_back({id_[idx(s)], deadline_[idx(s)], remaining_[idx(s)]});
+    }
+  }
+
+ private:
+  struct Queue {
+    std::int32_t head = -1;
+    std::int32_t tail = -1;
+    std::int64_t count = 0;
+    Round last_bucketed = -1;
+  };
+  struct Hint {
+    ColorId color;
+    Round deadline;
+  };
+
+  template <typename T>
+  [[nodiscard]] static std::size_t idx(T v) {
+    return static_cast<std::size_t>(v);
+  }
+
+  std::vector<Round> deadline_;
+  std::vector<JobId> id_;
+  std::vector<Round> remaining_;
+  std::vector<std::int32_t> next_;
+  std::vector<Queue> queues_;
+  std::multimap<Round, Hint> hints_;
+  Round cursor_ = -1;
+  std::int64_t total_ = 0;
+};
+
+/// (color, id) pairs of a sweep, sorted, expanded from its runs.
+std::vector<std::pair<ColorId, JobId>> sorted_drops(
+    const PendingJobs::DropResult& result) {
+  std::vector<std::pair<ColorId, JobId>> out;
+  for (const PendingJobs::DroppedRun& run : result.runs) {
+    for (std::int64_t i = 0; i < run.count; ++i) {
+      out.emplace_back(run.color, run.first_id + i);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Serializes `pending` into a framed checkpoint and restores it into a
+/// fresh store of `colors` colors.
+PendingJobs checkpoint_round_trip(const PendingJobs& pending, ColorId colors) {
+  CheckpointWriter w;
+  w.begin_section(1);
+  pending.checkpoint(w);
+  w.end_section();
+  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+  w.finish(bytes);
+  CheckpointReader r(bytes);
+  PendingJobs restored;
+  restored.reset(colors);
+  r.open_section(1);
+  restored.restore_checkpoint(r);
+  r.close_section();
+  return restored;
+}
+
+class RunStoreDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RunStoreDifferential, MatchesPerJobTwinUnderRandomOps) {
+  // A seeded mix of adds (continuing the tail run or not, lengths 1-3,
+  // sometimes past their deadline), partial executions, pops, sweeps with
+  // gaps and empty-set jumps, export->restore migrations and checkpoint
+  // round-trips.  After every step both stores must agree on every
+  // observable; every sweep must drop the same (color, id) multiset.
+  constexpr ColorId kColors = 6;
+  Rng rng(GetParam());
+  PendingJobs runs;
+  runs.reset(kColors);
+  PerJobPending twin(kColors);
+  PendingJobs::DropResult out;
+
+  JobId next_id = 0;
+  Round now = 0;     // the next sweep's round
+  Round swept = -1;  // the last swept round
+  std::int64_t migrations = 0;
+  std::int64_t round_trips = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const std::int64_t action = rng.uniform(0, 99);
+    const auto color = static_cast<ColorId>(rng.uniform(0, kColors - 1));
+    if (action < 45) {  // add
+      std::vector<PendingJobs::ExportedJob> pending;
+      twin.export_color(color, pending);
+      Job job;
+      job.color = color;
+      if (!pending.empty() && rng.bernoulli(0.6)) {
+        // Continue the tail run (or nearly: a gap or a new length).
+        const PendingJobs::ExportedJob& tail = pending.back();
+        job.id = tail.id + (rng.bernoulli(0.85) ? 1 : 2);
+        job.arrival = tail.deadline;
+        job.delay_bound = 0;
+        job.length = rng.bernoulli(0.8) ? tail.remaining : 1;
+      } else {
+        job.id = next_id;
+        const Round floor = pending.empty() ? 0 : pending.back().deadline;
+        // Past-deadline adds land at or before the swept cursor.
+        const Round lo = std::max<Round>(floor, now - 3);
+        job.arrival = lo + rng.uniform(0, 12) + (rng.bernoulli(0.02) ? 300 : 0);
+        job.delay_bound = 0;
+        job.length = rng.uniform(1, 3);
+      }
+      next_id = std::max(next_id, job.id + 1);
+      const std::int64_t count = rng.bernoulli(0.3) ? rng.uniform(2, 5) : 1;
+      if (count > 1 && rng.bernoulli(0.5)) {
+        runs.add_run(color, job.id, count, job.deadline(), job.length);
+      } else {
+        for (std::int64_t i = 0; i < count; ++i) {
+          Job each = job;
+          each.id = job.id + i;
+          runs.add(each);
+        }
+      }
+      for (std::int64_t i = 0; i < count; ++i) {
+        twin.add(color, job.id + i, job.deadline(), job.length);
+      }
+      next_id = std::max(next_id, job.id + count);
+    } else if (action < 70) {  // execute one unit
+      if (twin.count(color) > 0) {
+        const PendingJobs::ExecResult a = runs.execute_earliest(color);
+        const PendingJobs::ExecResult b = twin.execute_earliest(color);
+        ASSERT_EQ(a.id, b.id) << "step " << step;
+        ASSERT_EQ(a.completed, b.completed) << "step " << step;
+      }
+    } else if (action < 75) {  // pop (drops partial progress with the job)
+      if (twin.count(color) > 0) {
+        ASSERT_EQ(runs.pop_earliest(color), twin.pop_earliest(color))
+            << "step " << step;
+      }
+    } else if (action < 93) {  // sweep
+      if (twin.total() == 0 && rng.bernoulli(0.3)) {
+        now += rng.uniform(1'000, 1'000'000);  // fast-forward jump
+      } else {
+        now += rng.bernoulli(0.1) ? rng.uniform(50, 400) : rng.uniform(0, 3);
+      }
+      runs.drop_expired(now, out);
+      std::vector<std::pair<ColorId, JobId>> expected = twin.drop_expired(now);
+      std::sort(expected.begin(), expected.end());
+      ASSERT_EQ(sorted_drops(out), expected) << "round " << now;
+      ASSERT_EQ(out.total, static_cast<std::int64_t>(expected.size()));
+      std::int64_t by_color_sum = 0;
+      for (const auto& [c, n] : out.by_color) by_color_sum += n;
+      ASSERT_EQ(by_color_sum, out.total);
+      swept = std::max(swept, now);
+      ++now;
+    } else if (action < 97) {  // migrate every color into a fresh store
+      PendingJobs moved;
+      moved.reset(kColors);
+      if (swept >= 0) moved.drop_expired(swept, out);  // align the cursor
+      for (ColorId c = 0; c < kColors; ++c) {
+        std::vector<PendingJobs::ExportedJob> jobs;
+        runs.export_color(c, jobs);
+        for (const PendingJobs::ExportedJob& job : jobs) moved.restore(c, job);
+      }
+      runs = std::move(moved);
+      ++migrations;
+    } else {  // checkpoint round-trip
+      runs = checkpoint_round_trip(runs, kColors);
+      ++round_trips;
+    }
+
+    ASSERT_EQ(runs.total(), twin.total()) << "step " << step;
+    for (ColorId c = 0; c < kColors; ++c) {
+      ASSERT_EQ(runs.count(c), twin.count(c)) << "step " << step;
+      ASSERT_EQ(runs.idle(c), twin.count(c) == 0) << "step " << step;
+      ASSERT_LE(runs.run_count(c), runs.count(c));
+      if (twin.count(c) == 0) continue;
+      ASSERT_GE(runs.run_count(c), 1);
+      ASSERT_EQ(runs.earliest_deadline(c), twin.earliest_deadline(c))
+          << "step " << step << " color " << c;
+      ASSERT_EQ(runs.earliest_remaining(c), twin.earliest_remaining(c))
+          << "step " << step << " color " << c;
+    }
+  }
+  EXPECT_GT(migrations, 0);
+  EXPECT_GT(round_trips, 0);
+  // Export expands runs back to the twin's per-job form exactly.
+  for (ColorId c = 0; c < kColors; ++c) {
+    std::vector<PendingJobs::ExportedJob> a;
+    std::vector<PendingJobs::ExportedJob> b;
+    runs.export_color(c, a);
+    twin.export_color(c, b);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id);
+      EXPECT_EQ(a[i].deadline, b[i].deadline);
+      EXPECT_EQ(a[i].remaining, b[i].remaining);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RunStoreDifferential,
+                         ::testing::Range(std::uint64_t{1},
+                                          std::uint64_t{9}));
+
+TEST(PendingRuns, CoalescesOnlyContinuingJobs) {
+  PendingJobs pending;
+  pending.reset(1);
+  pending.add(make_job(0, 0, 0, 4));
+  pending.add(make_job(1, 0, 0, 4));  // continues: one run
+  EXPECT_EQ(pending.run_count(0), 1);
+  pending.add(make_job(3, 0, 0, 4));  // id gap: new run
+  EXPECT_EQ(pending.run_count(0), 2);
+  pending.add(make_job(4, 0, 1, 4));  // new deadline: new run
+  EXPECT_EQ(pending.run_count(0), 3);
+  pending.add(make_long_job(5, 0, 1, 4, 2));  // new length: new run
+  EXPECT_EQ(pending.run_count(0), 4);
+  pending.add_run(0, 6, 3, 5, 2);  // continues the tail run
+  EXPECT_EQ(pending.run_count(0), 4);
+  EXPECT_EQ(pending.count(0), 8);
+  const PendingJobs::DropResult dropped = drop_at(pending, 4);
+  ASSERT_EQ(dropped.runs.size(), 2u);
+  EXPECT_EQ(dropped.runs[0], (PendingJobs::DroppedRun{0, 0, 2}));
+  EXPECT_EQ(dropped.runs[1], (PendingJobs::DroppedRun{0, 3, 1}));
+  EXPECT_EQ(pending.count(0), 5);
+}
+
+TEST(PendingRuns, RandomBatchedIngestStoresOneRunPerBatch) {
+  // Every pending color-round batch of the generator is exactly one run:
+  // batches carry consecutive ids and one deadline, and distinct batches
+  // of one color have distinct deadlines.
+  RandomBatchedParams params;
+  params.num_colors = 32;
+  params.horizon = 2048;
+  params.seed = 3;
+  RandomBatchedSource source(params);
+  PendingJobs pending;
+  pending.reset(source.num_colors());
+  PendingJobs::DropResult out;
+  std::int64_t checked = 0;
+  for (Round k = 0; k < source.horizon(); ++k) {
+    pending.drop_expired(k, out);
+    for (const Job& job : source.arrivals_in_round(k)) pending.add(job);
+    // Partial draining keeps the surviving suffix of a batch one run.
+    if (k % 3 == 0) {
+      for (ColorId c = 0; c < source.num_colors(); c += 5) {
+        if (!pending.idle(c)) (void)pending.pop_earliest(c);
+      }
+    }
+    for (ColorId c = 0; c < source.num_colors(); ++c) {
+      std::vector<PendingJobs::ExportedJob> jobs;
+      pending.export_color(c, jobs);
+      std::int64_t batches = 0;
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (i == 0 || jobs[i].deadline != jobs[i - 1].deadline) ++batches;
+      }
+      ASSERT_EQ(pending.run_count(c), batches) << "round " << k;
+      checked += batches;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
 
 }  // namespace
 }  // namespace rrs

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "core/checkpoint.h"
 #include "util/check.h"
 #include "workload/adversary_dlru.h"
 #include "workload/adversary_edf.h"
@@ -89,6 +92,124 @@ TEST(RandomBatched, DelayScalesRespected) {
   for (ColorId c = 0; c < inst.num_colors(); ++c) {
     EXPECT_GE(inst.delay_bound(c), 8);
     EXPECT_LE(inst.delay_bound(c), 32);
+  }
+}
+
+/// RandomBatchedSource's documented draw rule written out per color: at
+/// every multiple of its delay bound a color draws activity, then a batch
+/// size, from its own stream.  Visits every color every round, so it is
+/// the reference for the source's due-color synthesis.
+class RandomBatchedReference {
+ public:
+  explicit RandomBatchedReference(const RandomBatchedParams& p)
+      : activity_(p.activity) {
+    Rng rng(p.seed);
+    for (int c = 0; c < p.num_colors; ++c) {
+      const Round delay = Round{1} << rng.uniform(p.min_scale, p.max_scale);
+      (void)rng.uniform(p.min_drop_cost, p.max_drop_cost);
+      delays_.push_back(delay);
+      max_batch_.push_back(std::max<std::int64_t>(
+          1, static_cast<std::int64_t>(p.burst_factor *
+                                       static_cast<double>(delay))));
+      streams_.push_back(derive_rng(p.seed, static_cast<std::uint64_t>(c)));
+    }
+  }
+
+  /// Round-`k` batches (global color, size) of every color, ascending.
+  std::vector<std::pair<ColorId, std::int64_t>> round(Round k) {
+    std::vector<std::pair<ColorId, std::int64_t>> batches;
+    for (std::size_t c = 0; c < delays_.size(); ++c) {
+      if (k % delays_[c] != 0 || !streams_[c].bernoulli(activity_)) continue;
+      batches.emplace_back(static_cast<ColorId>(c),
+                           streams_[c].uniform(1, max_batch_[c]));
+    }
+    return batches;
+  }
+
+ private:
+  double activity_;
+  std::vector<Round> delays_;
+  std::vector<std::int64_t> max_batch_;
+  std::vector<Rng> streams_;
+};
+
+/// Checks one pulled round against the reference's batches restricted to
+/// `view` (global ids, ascending; local id = index).  `next_id` is the
+/// view's next dense job id.
+void expect_round_matches(
+    std::span<const Job> jobs, Round k,
+    const std::vector<std::pair<ColorId, std::int64_t>>& reference,
+    const std::vector<ColorId>& view, JobId& next_id) {
+  std::size_t i = 0;
+  for (const auto& [global, size] : reference) {
+    const auto it = std::find(view.begin(), view.end(), global);
+    if (it == view.end()) continue;
+    const auto local = static_cast<ColorId>(it - view.begin());
+    for (std::int64_t j = 0; j < size; ++j, ++i) {
+      ASSERT_LT(i, jobs.size()) << "round " << k;
+      EXPECT_EQ(jobs[i].id, next_id++) << "round " << k;
+      EXPECT_EQ(jobs[i].color, local) << "round " << k;
+      EXPECT_EQ(jobs[i].arrival, k);
+    }
+  }
+  EXPECT_EQ(i, jobs.size()) << "round " << k;
+}
+
+TEST(RandomBatched, DueColorSynthesisMatchesPerColorReference) {
+  // Full stream, a restricted view that is later reassigned, and a
+  // checkpoint/restore in between: every round's ids, colors and batch
+  // sizes equal the per-color reference, so skipping colors that are not
+  // due changes no draw.
+  RandomBatchedParams params;
+  params.num_colors = 12;
+  params.min_scale = 0;  // delay bounds 1 .. 32: every ctz class occurs
+  params.max_scale = 5;
+  params.max_drop_cost = 3;
+  params.horizon = kInfiniteHorizon;
+  params.seed = 11;
+
+  std::vector<ColorId> all(12);
+  for (ColorId c = 0; c < 12; ++c) all[static_cast<std::size_t>(c)] = c;
+  RandomBatchedSource full(params);
+  RandomBatchedReference full_ref(params);
+  JobId full_id = 0;
+  for (Round k = 0; k < 300; ++k) {
+    expect_round_matches(full.arrivals_in_round(k), k, full_ref.round(k), all,
+                         full_id);
+  }
+
+  std::vector<ColorId> view = {1, 4, 5, 9};
+  std::unique_ptr<GeneratorSource> source = full.clone();
+  source->restrict_to(view);
+  RandomBatchedReference ref(params);
+  JobId next_id = 0;
+  Round k = 0;
+  for (; k < 150; ++k) {
+    expect_round_matches(source->arrivals_in_round(k), k, ref.round(k), view,
+                         next_id);
+  }
+  view = {0, 4, 7, 10, 11};
+  source->reassign(view);
+  for (; k < 230; ++k) {
+    expect_round_matches(source->arrivals_in_round(k), k, ref.round(k), view,
+                         next_id);
+  }
+
+  CheckpointWriter w;
+  w.begin_section(1);
+  source->checkpoint(w);
+  w.end_section();
+  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+  w.finish(bytes);
+  std::unique_ptr<GeneratorSource> resumed = full.clone();
+  resumed->restrict_to(view);
+  CheckpointReader r(bytes);
+  r.open_section(1);
+  resumed->restore(r);
+  r.close_section();
+  for (; k < 400; ++k) {
+    expect_round_matches(resumed->arrivals_in_round(k), k, ref.round(k), view,
+                         next_id);
   }
 }
 
