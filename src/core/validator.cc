@@ -28,7 +28,9 @@ class Validator {
 
   ValidationResult run() {
     check_shape();
-    if (!fatal_) replay();
+    // Replay indexes per-resource and per-job arrays with the events'
+    // fields, so it only runs on a schedule whose shape is sound.
+    if (result_.errors.empty()) replay();
     result_.ok = result_.errors.empty();
     if (result_.ok) {
       result_.cost = sched_.cost(inst_);

@@ -10,17 +10,29 @@
 //   * node bound: f = g + h with the admissible per-suffix bound from
 //     lower_bound.h (SuffixBoundOracle: guaranteed drops + per-suffix
 //     configure-or-drop and dyadic-capacity arms), so whole subtrees price
-//     out against the incumbent;
+//     out against the incumbent; the root bound adds LB3, whose window
+//     minima come from a per-iteration sparse table;
 //   * incumbent: seeded by the demand-greedy family, the trivial
 //     drop-everything schedule, and an optional caller hint (e.g. the best
 //     online policy cost — any certified upper bound on OPT);
-//   * transposition table: states reached again at higher accumulated cost
+//   * incremental child bound: per expansion the oracle splits the parent
+//     profile into per-color shares once, and each child re-prices only
+//     the colors it configures (SuffixBoundOracle::prepare/child_bound,
+//     equal to bound() of the child);
+//   * pooled flat states: a node holds only (round, g, parent, state id);
+//     each state's canonical key (offdp::encode + round) is interned once
+//     in a flat int64 pool, children are built in reused scratch profiles
+//     and pooled only when they survive the bound and transposition
+//     checks, so steady-state expansion allocates nothing per child;
+//   * transposition table: an open-addressing table over interned keys
+//     (exact comparison); states reached again at higher accumulated cost
 //     are dropped; cheaper rediscoveries reopen (the suffix bound is
 //     admissible but not consistent);
 //   * dominance pruning: among expanded states with equal round and
 //     configuration, a profile whose per-color deadline multisets are
 //     pointwise easier (Hall-matchable to later deadlines) at no higher
-//     cost dominates — the dominated node is pruned;
+//     cost dominates — the dominated node is pruned (encoded keys are
+//     compared directly; up to 24 dominators per round and configuration);
 //   * sparse fast-forward: states with an empty pending profile jump
 //     straight to the next arrival round (for the matrix tier, branching
 //     over the free retire-to-black sub-multisets whose timing can matter

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "util/bits.h"
@@ -103,6 +105,7 @@ Cost lagrangian_lower_bound(const Instance& instance, int m,
   std::vector<std::vector<JobWindow>> windows(
       static_cast<std::size_t>(instance.num_colors()));
   std::vector<Cost> forced(static_cast<std::size_t>(instance.num_colors()), 0);
+  Round widest = 1;
   for (const Job& job : instance.jobs()) {
     const Round b = std::min(job.deadline(), horizon);
     if (b <= job.arrival) {
@@ -111,6 +114,7 @@ Cost lagrangian_lower_bound(const Instance& instance, int m,
     }
     windows[static_cast<std::size_t>(job.color)].push_back(
         {job.arrival, b, job.drop_cost, Cost{job.length}});
+    widest = std::max(widest, b - job.arrival);
   }
 
   // Polyak step needs an upper bound on OFF; dropping every job is always
@@ -122,6 +126,26 @@ Cost lagrangian_lower_bound(const Instance& instance, int m,
   std::vector<double> lambda(static_cast<std::size_t>(horizon), 0.0);
   std::vector<double> grad(static_cast<std::size_t>(horizon), 0.0);
   std::vector<Round> argmin;  // per qualifying job: window argmin round
+
+  // Window minima: a sparse table over lambda, rebuilt each iteration.
+  // Level k holds, for each start t, the earliest argmin of lambda over
+  // [t, t + 2^k); levels stop at the widest window.  A window [a, b) is
+  // covered by two level-floor_log2(b - a) blocks; preferring the left
+  // block on ties keeps the earliest argmin, as a left-to-right scan does.
+  RRS_CHECK(horizon <= std::numeric_limits<std::int32_t>::max());
+  const auto rounds = static_cast<std::size_t>(horizon);
+  const int levels = floor_log2(widest) + 1;
+  std::vector<std::int32_t> sparse(static_cast<std::size_t>(levels) * rounds);
+  for (std::size_t t = 0; t < rounds; ++t) {
+    sparse[t] = static_cast<std::int32_t>(t);  // level 0: [t, t + 1)
+  }
+  const auto earlier_min = [&lambda](std::int32_t left, std::int32_t right) {
+    return lambda[static_cast<std::size_t>(right)] <
+                   lambda[static_cast<std::size_t>(left)]
+               ? right
+               : left;
+  };
+
   double best = static_cast<double>(lb1);  // == L(0)
   double scale = 1.0;
   int stall = 0;
@@ -131,19 +155,28 @@ Cost lagrangian_lower_bound(const Instance& instance, int m,
       value -= static_cast<double>(m) * lambda[static_cast<std::size_t>(t)];
       grad[static_cast<std::size_t>(t)] = -static_cast<double>(m);
     }
+    for (int k = 1; k < levels; ++k) {
+      const std::size_t half = std::size_t{1} << (k - 1);
+      const std::int32_t* below =
+          sparse.data() + static_cast<std::size_t>(k - 1) * rounds;
+      std::int32_t* level =
+          sparse.data() + static_cast<std::size_t>(k) * rounds;
+      for (std::size_t t = 0; t + 2 * half <= rounds; ++t) {
+        level[t] = earlier_min(below[t], below[t + half]);
+      }
+    }
     for (ColorId c = 0; c < instance.num_colors(); ++c) {
       const auto ci = static_cast<std::size_t>(c);
       double hosted = static_cast<double>(min_inc[ci] + forced[ci]);
       argmin.clear();
       for (const JobWindow& jw : windows[ci]) {
-        double lo = lambda[static_cast<std::size_t>(jw.a)];
-        Round lo_t = jw.a;
-        for (Round t = jw.a + 1; t < jw.b; ++t) {
-          if (lambda[static_cast<std::size_t>(t)] < lo) {
-            lo = lambda[static_cast<std::size_t>(t)];
-            lo_t = t;
-          }
-        }
+        const int k = floor_log2(jw.b - jw.a);
+        const std::int32_t* level =
+            sparse.data() + static_cast<std::size_t>(k) * rounds;
+        const auto right = static_cast<std::size_t>(jw.b - (Round{1} << k));
+        const Round lo_t =
+            earlier_min(level[static_cast<std::size_t>(jw.a)], level[right]);
+        const double lo = lambda[static_cast<std::size_t>(lo_t)];
         const double redeemed = static_cast<double>(jw.len) * lo;
         if (redeemed < static_cast<double>(jw.w)) {
           hosted += redeemed;
@@ -206,27 +239,26 @@ SuffixBoundOracle::SuffixBoundOracle(const Instance& instance, int m)
   RRS_REQUIRE(m >= 1, "suffix bound oracle needs m >= 1");
   const CostModel& model = instance.cost_model();
   const Round horizon = instance.horizon();
-  const auto colors = static_cast<std::size_t>(instance.num_colors());
+  colors_ = static_cast<std::size_t>(instance.num_colors());
 
-  min_inc_.resize(colors);
+  drop_cost_.resize(colors_);
+  length_.resize(colors_);
+  min_inc_.resize(colors_);
   for (ColorId c = 0; c < instance.num_colors(); ++c) {
+    drop_cost_[static_cast<std::size_t>(c)] = instance.drop_cost(c);
+    length_[static_cast<std::size_t>(c)] = instance.length(c);
     min_inc_[static_cast<std::size_t>(c)] = model.min_incoming_cost(c);
   }
 
-  future_weight_.assign(colors,
-                        std::vector<Cost>(static_cast<std::size_t>(horizon) + 1,
-                                          0));
+  future_weight_.assign((static_cast<std::size_t>(horizon) + 1) * colors_, 0);
   for (const Job& job : instance.jobs()) {
     if (job.arrival < horizon) {
-      future_weight_[static_cast<std::size_t>(job.color)]
-                    [static_cast<std::size_t>(job.arrival)] += job.drop_cost;
+      future_weight_[static_cast<std::size_t>(job.arrival) * colors_ +
+                     static_cast<std::size_t>(job.color)] += job.drop_cost;
     }
   }
-  for (auto& per_color : future_weight_) {
-    for (Round k = horizon; k-- > 0;) {
-      per_color[static_cast<std::size_t>(k)] +=
-          per_color[static_cast<std::size_t>(k) + 1];
-    }
+  for (std::size_t i = static_cast<std::size_t>(horizon) * colors_; i-- > 0;) {
+    future_weight_[i] += future_weight_[i + colors_];
   }
 
   l_max_ = std::max<Cost>(1, model.max_length());
@@ -237,18 +269,20 @@ SuffixBoundOracle::SuffixBoundOracle(const Instance& instance, int m)
   }
 
   max_scale_ = horizon > 0 ? floor_log2(horizon) + 1 : 0;
-  contained_units_.assign(
-      static_cast<std::size_t>(max_scale_) + 1,
-      std::vector<Cost>(static_cast<std::size_t>(horizon) + 2, 0));
-  suffix_window_drops_.resize(static_cast<std::size_t>(max_scale_) + 1);
+  const auto scales = static_cast<std::size_t>(max_scale_) + 1;
+  RRS_CHECK(scales <= kScales);
+  contained_units_.assign(static_cast<std::size_t>(horizon) * scales, 0);
+  tail_drops_.assign(static_cast<std::size_t>(horizon) * scales, 0);
   if (horizon == 0 || instance.jobs().empty()) return;
 
+  std::vector<Cost> diff;
+  std::vector<Cost> suffix;
   for (int s = 0; s <= max_scale_; ++s) {
     const Round width = Round{1} << s;
     // Anchored windows: a job with arrival a, deadline d lies inside
     // [k, k + width) for every start k in [max(0, d - width), a]; build
     // with a difference array over k.
-    auto& diff = contained_units_[static_cast<std::size_t>(s)];
+    diff.assign(static_cast<std::size_t>(horizon) + 2, 0);
     for (const Job& job : instance.jobs()) {
       const Round d = std::min(job.deadline(), horizon);
       if (d - job.arrival > width) continue;
@@ -258,13 +292,19 @@ SuffixBoundOracle::SuffixBoundOracle(const Instance& instance, int m)
       diff[static_cast<std::size_t>(lo)] += Cost{job.length};
       diff[static_cast<std::size_t>(hi) + 1] -= Cost{job.length};
     }
-    for (std::size_t k = 1; k < diff.size(); ++k) diff[k] += diff[k - 1];
+    Cost running = 0;
+    for (Round k = 0; k < horizon; ++k) {
+      running += diff[static_cast<std::size_t>(k)];
+      contained_units_[static_cast<std::size_t>(k) * scales +
+                       static_cast<std::size_t>(s)] = running;
+    }
 
     // Aligned windows: the LB2 partition, as suffix sums of per-window
     // forced-drop charges so the oracle can price the far future past the
     // anchored window in O(1).
     const Round num_windows = (horizon + width - 1) / width;
-    std::vector<Cost> charge(static_cast<std::size_t>(num_windows) + 1, 0);
+    std::vector<Cost>& charge = diff;
+    charge.assign(static_cast<std::size_t>(num_windows) + 1, 0);
     for (const Job& job : instance.jobs()) {
       const Round d = std::min(job.deadline(), horizon);
       const Round start = floor_multiple(job.arrival, width);
@@ -278,85 +318,140 @@ SuffixBoundOracle::SuffixBoundOracle(const Instance& instance, int m)
       charge[static_cast<std::size_t>(i)] =
           w_min_ > 0 ? (excess + l_max_ - 1) / l_max_ * w_min_ : 0;
     }
-    auto& suffix = suffix_window_drops_[static_cast<std::size_t>(s)];
     suffix.assign(static_cast<std::size_t>(num_windows) + 1, 0);
     for (Round i = num_windows; i-- > 0;) {
       suffix[static_cast<std::size_t>(i)] =
           suffix[static_cast<std::size_t>(i) + 1] +
           charge[static_cast<std::size_t>(i)];
     }
+    for (Round k = 0; k < horizon; ++k) {
+      const Round tail = (k + width + width - 1) / width;  // ceil
+      if (tail < static_cast<Round>(suffix.size())) {
+        tail_drops_[static_cast<std::size_t>(k) * scales +
+                    static_cast<std::size_t>(s)] =
+            suffix[static_cast<std::size_t>(tail)];
+      }
+    }
   }
+}
+
+Cost SuffixBoundOracle::add_share(std::size_t c, Round round,
+                                  const offdp::ColorQueue& q, Cost sign,
+                                  Cost& guaranteed, Cost* units) const {
+  const Cost w = drop_cost_[c];
+  Cost savable = 0;
+  bool first = true;
+  for (const auto& [deadline, count] : q.buckets) {
+    // A bucket at or below `round` expires before it can receive another
+    // unit: a guaranteed drop.
+    if (deadline <= round) {
+      guaranteed += sign * count * w;
+      continue;
+    }
+    savable += count * w;
+    const int s = ceil_log2(deadline - round);
+    if (s <= max_scale_) {
+      // The front job already holds front_done units; only its remaining
+      // units demand capacity.  They come off the first live bucket even
+      // when the partial front sits in an expiring bucket (whose drop
+      // forfeits them): looser there, still admissible.
+      units[s] += sign * (count * length_[c] - (first ? q.front_done : 0));
+    }
+    first = false;
+  }
+  return savable;
+}
+
+Cost SuffixBoundOracle::finish(Round round, Cost guaranteed, Cost h_conf,
+                               const Cost* units) const {
+  // Per-suffix capacity bound: for each scale, the anchored window
+  // [round, round + 2^s) plus the aligned windows wholly beyond it.
+  const auto scales = static_cast<std::size_t>(max_scale_) + 1;
+  const Cost* contained =
+      contained_units_.data() + static_cast<std::size_t>(round) * scales;
+  const Cost* tail =
+      tail_drops_.data() + static_cast<std::size_t>(round) * scales;
+  Cost h_cap = 0;
+  Cost pending_units = 0;  // pending units inside the window at scale s
+  for (std::size_t s = 0; s < scales; ++s) {
+    pending_units += units[s];
+    Cost charge = tail[s];
+    const Cost excess =
+        pending_units + contained[s] - Cost{m_} * (Round{1} << s);
+    if (excess > 0 && w_min_ > 0) {
+      charge += (excess + l_max_ - 1) / l_max_ * w_min_;
+    }
+    h_cap = std::max(h_cap, charge);
+  }
+  return guaranteed + std::max(h_conf, h_cap);
 }
 
 Cost SuffixBoundOracle::bound(Round round, const std::vector<ColorId>& cache,
                               const offdp::Profile& profile) const {
   const Instance& instance = *instance_;
-  const Round horizon = instance.horizon();
-  if (round >= horizon) return offdp::total_pending_weight(profile, instance);
-
-  // Split pending weight into guaranteed drops (deadline <= round: the job
-  // expires before it can receive another unit) and savable weight.
+  if (round >= instance.horizon()) {
+    return offdp::total_pending_weight(profile, instance);
+  }
+  std::array<Cost, kScales> units;
+  std::fill_n(units.begin(), max_scale_ + 1, 0);
   Cost guaranteed = 0;
   Cost h_conf = 0;
+  const Cost* future =
+      future_weight_.data() + static_cast<std::size_t>(round) * colors_;
   for (std::size_t c = 0; c < profile.size(); ++c) {
-    const Cost w = instance.drop_cost(static_cast<ColorId>(c));
-    Cost savable = 0;
-    for (const auto& [deadline, count] : profile[c].buckets) {
-      if (deadline <= round) {
-        guaranteed += count * w;
-      } else {
-        savable += count * w;
-      }
-    }
-    const Cost future =
-        future_weight_[c][static_cast<std::size_t>(round)];
-    if (savable + future == 0) continue;
+    const Cost weight =
+        add_share(c, round, profile[c], 1, guaranteed, units.data()) +
+        future[c];
+    if (weight == 0) continue;
     const bool configured =
         std::find(cache.begin(), cache.end(), static_cast<ColorId>(c)) !=
         cache.end();
-    if (!configured) {
-      h_conf += std::min(min_inc_[c], savable + future);
-    }
+    if (!configured) h_conf += std::min(min_inc_[c], weight);
   }
+  return finish(round, guaranteed, h_conf, units.data());
+}
 
-  // Per-suffix capacity bound: for each scale, the anchored window
-  // [round, round + 2^s) plus the aligned windows wholly beyond it.
-  Cost h_cap = 0;
-  for (int s = 0; s <= max_scale_; ++s) {
-    const Round width = Round{1} << s;
-    Cost units =
-        contained_units_[static_cast<std::size_t>(s)]
-                        [static_cast<std::size_t>(round)];
-    for (std::size_t c = 0; c < profile.size(); ++c) {
-      const Round len = instance.length(static_cast<ColorId>(c));
-      bool first = true;
-      for (const auto& [deadline, count] : profile[c].buckets) {
-        if (deadline > round && deadline <= round + width) {
-          units += count * Cost{len};
-          // The front job already holds front_done units; only its
-          // remaining units demand capacity.  A front bucket at or below
-          // `round` drops and forfeits the partial work, so the next job
-          // starts from zero — no adjustment then.
-          if (first && deadline > round) units -= profile[c].front_done;
-        }
-        if (deadline > round) first = false;
-      }
-    }
-    Cost charge = 0;
-    const Cost excess = units - Cost{m_} * width;
-    if (excess > 0 && w_min_ > 0) {
-      charge = (excess + l_max_ - 1) / l_max_ * w_min_;
-    }
-    const auto& suffix = suffix_window_drops_[static_cast<std::size_t>(s)];
-    if (!suffix.empty()) {
-      const Round tail = (round + width + width - 1) / width;  // ceil
-      if (tail < static_cast<Round>(suffix.size())) {
-        charge += suffix[static_cast<std::size_t>(tail)];
-      }
-    }
-    h_cap = std::max(h_cap, charge);
+void SuffixBoundOracle::prepare(Round round, const offdp::Profile& parent,
+                                Frame& frame) const {
+  RRS_CHECK(round < instance_->horizon());
+  frame.round_ = round;
+  frame.guaranteed_ = 0;
+  frame.h_conf_ = 0;
+  frame.conf_.assign(parent.size(), 0);
+  std::fill_n(frame.units_.begin(), max_scale_ + 1, 0);
+  const Cost* future =
+      future_weight_.data() + static_cast<std::size_t>(round) * colors_;
+  for (std::size_t c = 0; c < parent.size(); ++c) {
+    const Cost weight = add_share(c, round, parent[c], 1, frame.guaranteed_,
+                                  frame.units_.data()) +
+                        future[c];
+    if (weight == 0) continue;
+    frame.conf_[c] = std::min(min_inc_[c], weight);
+    frame.h_conf_ += frame.conf_[c];
   }
-  return guaranteed + std::max(h_conf, h_cap);
+}
+
+Cost SuffixBoundOracle::child_bound(const Frame& frame,
+                                    const std::vector<ColorId>& config,
+                                    const offdp::Profile& parent,
+                                    const offdp::Profile& child) const {
+  std::array<Cost, kScales> units;
+  std::copy_n(frame.units_.begin(), max_scale_ + 1, units.begin());
+  Cost guaranteed = frame.guaranteed_;
+  Cost h_conf = frame.h_conf_;
+  ColorId previous = kBlack;
+  for (const ColorId color : config) {
+    if (color == kBlack || color == previous) continue;
+    previous = color;
+    // A configured color drops out of the configure-or-drop arm; only
+    // configured colors execute, so only their shares can change.
+    const auto c = static_cast<std::size_t>(color);
+    h_conf -= frame.conf_[c];
+    if (parent[c].buckets.empty()) continue;
+    add_share(c, frame.round_, parent[c], -1, guaranteed, units.data());
+    add_share(c, frame.round_, child[c], 1, guaranteed, units.data());
+  }
+  return finish(frame.round_, guaranteed, h_conf, units.data());
 }
 
 }  // namespace rrs

@@ -47,6 +47,7 @@
 // admissible node bound of the branch-and-bound solver (exact_bnb.{h,cc}).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -110,10 +111,33 @@ struct LagrangianOptions {
 ///
 /// Construction precomputes per-color future-arrival weight suffixes,
 /// per-scale anchored contained-unit tables (range adds over the window
-/// start), and per-scale aligned-window excess suffix sums, so bound() is
-/// O(colors + buckets) per scale with no allocation.
+/// start), and per-scale aligned-window excess suffix sums, stored round-
+/// major so one round's row is contiguous.  bound() then walks each bucket
+/// once: a live bucket joins the anchored window at scale
+/// ceil_log2(deadline - round) and a prefix sum over the scales yields
+/// every window's units, so a call is O(colors + buckets + scales) with no
+/// allocation.
+///
+/// The search prices its children incrementally: prepare() splits one
+/// parent profile into per-color shares at the children's round, and
+/// child_bound() re-prices only the colors a child configures (its
+/// executed colors among them), returning exactly bound() of the child.
 class SuffixBoundOracle {
  public:
+  /// Dyadic scales a horizon can need (max_scale <= 63).
+  static constexpr std::size_t kScales = 64;
+
+  /// One parent profile's per-color shares at the children's round (see
+  /// prepare()); reused across expansions.
+  class Frame {
+    friend class SuffixBoundOracle;
+    Round round_ = 0;
+    Cost guaranteed_ = 0;
+    Cost h_conf_ = 0;         // summed configure-or-drop terms
+    std::vector<Cost> conf_;  // per color: its configure-or-drop term
+    std::array<Cost, kScales> units_{};  // per scale: units joining there
+  };
+
   SuffixBoundOracle(const Instance& instance, int m);
 
   /// Lower bound on the remaining cost from `(round, cache, profile)`.
@@ -121,21 +145,49 @@ class SuffixBoundOracle {
   [[nodiscard]] Cost bound(Round round, const std::vector<ColorId>& cache,
                            const offdp::Profile& profile) const;
 
+  /// Fills `frame` with the shares of `parent` priced at `round`
+  /// (< horizon), the round of the children about to be priced.
+  void prepare(Round round, const offdp::Profile& parent,
+               Frame& frame) const;
+
+  /// bound(round, config, child) for a child of the prepared parent:
+  /// `config` sorted ascending, and `child` differing from the parent
+  /// only in colors of `config`.
+  [[nodiscard]] Cost child_bound(const Frame& frame,
+                                 const std::vector<ColorId>& config,
+                                 const offdp::Profile& parent,
+                                 const offdp::Profile& child) const;
+
  private:
+  /// Adds `sign` times color c's share at `round` to `guaranteed` (drop
+  /// weight of buckets with deadline <= round) and `units` (per scale, the
+  /// units of each live bucket at the scale where it joins the anchored
+  /// window); returns c's savable weight (live buckets).
+  Cost add_share(std::size_t c, Round round, const offdp::ColorQueue& q,
+                 Cost sign, Cost& guaranteed, Cost* units) const;
+  /// guaranteed + max(h_conf, h_cap), h_cap from the per-scale units.
+  [[nodiscard]] Cost finish(Round round, Cost guaranteed, Cost h_conf,
+                            const Cost* units) const;
+
   const Instance* instance_;
   int m_;
   Cost w_min_ = 0;   // min drop cost among colors with jobs (0: no jobs)
   Cost l_max_ = 1;   // max job length
   int max_scale_ = 0;
-  std::vector<Cost> min_inc_;  // per color: cheapest incoming reconfig
-  // future_weight_[c][k]: drop weight of color-c jobs with arrival >= k.
-  std::vector<std::vector<Cost>> future_weight_;
-  // contained_units_[s][k]: execution units of jobs with arrival >= k and
-  // deadline <= k + 2^s (fully inside the anchored window [k, k + 2^s)).
-  std::vector<std::vector<Cost>> contained_units_;
-  // suffix_window_drops_[s][i]: summed drop charges of aligned scale-s
-  // windows with index >= i.
-  std::vector<std::vector<Cost>> suffix_window_drops_;
+  std::size_t colors_ = 0;
+  std::vector<Cost> drop_cost_;  // per color
+  std::vector<Cost> length_;     // per color
+  std::vector<Cost> min_inc_;    // per color: cheapest incoming reconfig
+  // future_weight_[k * colors_ + c]: drop weight of color-c jobs with
+  // arrival >= k.
+  std::vector<Cost> future_weight_;
+  // Per round k and scale s, at [k * (max_scale_ + 1) + s]:
+  // contained_units_: execution units of jobs with arrival >= k and
+  // deadline <= k + 2^s (fully inside the anchored window [k, k + 2^s));
+  // tail_drops_: summed drop charges of the aligned scale-s windows wholly
+  // beyond that anchored window.
+  std::vector<Cost> contained_units_;
+  std::vector<Cost> tail_drops_;
 };
 
 }  // namespace rrs

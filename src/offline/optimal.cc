@@ -92,7 +92,8 @@ DpRun run_dp(const Instance& instance, int m, std::int64_t max_states) {
               if (c != kBlack) offdp::execute_one(after, c, instance);
             }
             const Cost cost = state.cost + dropped + reconf;
-            Key key = offdp::encode(config, after);
+            Key key;
+            offdp::encode(config, after, key);
             const auto it = index.find(key);
             if (it == index.end()) {
               index.emplace(std::move(key), next.size());

@@ -141,21 +141,41 @@ Cost hungarian_assignment(const std::vector<ColorId>& sources,
 
 }  // namespace
 
-Key encode(const std::vector<ColorId>& cache, const Profile& profile) {
-  Key key;
-  key.reserve(cache.size() + 8);
-  for (const ColorId c : cache) key.push_back(c);
-  key.push_back(-7);  // separator
+void encode(const std::vector<ColorId>& cache, const Profile& profile,
+            Key& out) {
+  for (const ColorId c : cache) out.push_back(c);
+  out.push_back(-7);  // separator
   for (std::size_t c = 0; c < profile.size(); ++c) {
     if (profile[c].buckets.empty()) continue;
-    key.push_back(static_cast<std::int64_t>(c));
-    key.push_back(profile[c].front_done);
+    out.push_back(static_cast<std::int64_t>(c));
+    out.push_back(profile[c].front_done);
     for (const auto& [deadline, count] : profile[c].buckets) {
-      key.push_back(-deadline - 2);  // negative marks deadline entries
-      key.push_back(count);
+      out.push_back(-deadline - 2);  // negative marks deadline entries
+      out.push_back(count);
     }
   }
-  return key;
+}
+
+void decode(std::span<const std::int64_t> key, int m,
+            std::vector<ColorId>& cache, Profile& profile) {
+  const auto slots = static_cast<std::size_t>(m);
+  RRS_CHECK(key.size() > slots && key[slots] == -7);
+  cache.resize(slots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    cache[i] = static_cast<ColorId>(key[i]);
+  }
+  for (ColorQueue& q : profile) {
+    q.buckets.clear();
+    q.front_done = 0;
+  }
+  std::size_t i = slots + 1;
+  while (i < key.size()) {
+    ColorQueue& q = profile[static_cast<std::size_t>(key[i])];
+    q.front_done = key[i + 1];
+    for (i += 2; i < key.size() && key[i] < 0; i += 2) {
+      q.buckets.emplace_back(-key[i] - 2, key[i + 1]);
+    }
+  }
 }
 
 Cost expire(Profile& profile, Round round, const Instance& instance) {
@@ -213,28 +233,6 @@ Cost total_pending_weight(const Profile& profile, const Instance& instance) {
   return total;
 }
 
-void enumerate_multisets(
-    const std::vector<ColorId>& candidates, int m,
-    std::vector<ColorId>& scratch,
-    const std::function<void(const std::vector<ColorId>&)>& visit,
-    std::size_t from) {
-  if (static_cast<int>(scratch.size()) == m) {
-    visit(scratch);
-    return;
-  }
-  // kBlack (skip slot) allowed only as a prefix to keep multisets sorted.
-  if (scratch.empty() || scratch.back() == kBlack) {
-    scratch.push_back(kBlack);
-    enumerate_multisets(candidates, m, scratch, visit, from);
-    scratch.pop_back();
-  }
-  for (std::size_t i = from; i < candidates.size(); ++i) {
-    scratch.push_back(candidates[i]);
-    enumerate_multisets(candidates, m, scratch, visit, i);
-    scratch.pop_back();
-  }
-}
-
 Cost matrix_assignment(const std::vector<ColorId>& sources,
                        const std::vector<ColorId>& targets,
                        const CostModel& model, std::vector<int>* out_assign) {
@@ -251,15 +249,15 @@ Cost reconfig_cost_between(const std::vector<ColorId>& a,
   if (model.tier() == CostModel::Tier::kMatrix) {
     return matrix_assignment(a, b, model);
   }
+  // The k-th copy of a color in `b` keeps a slot of `a` iff `a` holds at
+  // least k copies of it; every other copy pays its cold price / Delta.
   Cost total = 0;
-  std::vector<ColorId> remaining = a;
-  for (const ColorId color : b) {
+  for (auto it = b.begin(); it != b.end(); ++it) {
+    const ColorId color = *it;
     if (color == kBlack) continue;
-    const auto it = std::find(remaining.begin(), remaining.end(), color);
-    if (it != remaining.end()) {
-      remaining.erase(it);
-    } else {
-      total += model.reconfig_cost(kBlack, color);  // cold price / Delta
+    if (std::count(b.begin(), it + 1, color) >
+        std::count(a.begin(), a.end(), color)) {
+      total += model.reconfig_cost(kBlack, color);
     }
   }
   return total;

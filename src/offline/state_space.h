@@ -22,7 +22,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,9 +48,19 @@ using Profile = std::vector<ColorQueue>;
 /// Flattened state key: configured multiset (sorted) + profile.
 using Key = std::vector<std::int64_t>;
 
-/// Encodes (cache, profile) into a canonical comparable key.
-[[nodiscard]] Key encode(const std::vector<ColorId>& cache,
-                         const Profile& profile);
+/// Appends the canonical comparable key of (cache, profile) to `out`: the
+/// cache entries, a separator (-7), then per color with pending jobs the
+/// color, its front_done and one (-deadline - 2, count) pair per bucket
+/// (deadline entries are <= -2, so a nonnegative entry starts the next
+/// color).
+void encode(const std::vector<ColorId>& cache, const Profile& profile,
+            Key& out);
+
+/// Inverse of encode for a key of an m-slot cache: fills `cache` and
+/// `profile` (whose size, the color count, is kept; colors absent from
+/// the key come back empty).  Both reuse their capacity.
+void decode(std::span<const std::int64_t> key, int m,
+            std::vector<ColorId>& cache, Profile& profile);
 
 /// Drops entries with deadline <= round; returns the drop cost incurred
 /// (count x per-color drop cost; partially-executed jobs charge in full).
@@ -71,12 +81,28 @@ bool execute_one(Profile& profile, ColorId color, const Instance& instance);
 
 /// Enumerates all multisets of size m over {kBlack} + `candidates`
 /// (candidates sorted ascending), invoking `visit` with each sorted
-/// multiset.  kBlack entries stand for unused slots.
-void enumerate_multisets(
-    const std::vector<ColorId>& candidates, int m,
-    std::vector<ColorId>& scratch,
-    const std::function<void(const std::vector<ColorId>&)>& visit,
-    std::size_t from = 0);
+/// multiset.  kBlack entries stand for unused slots.  `scratch` must be
+/// empty on entry and is empty again on return.
+template <typename Visit>
+void enumerate_multisets(const std::vector<ColorId>& candidates, int m,
+                         std::vector<ColorId>& scratch, Visit&& visit,
+                         std::size_t from = 0) {
+  if (static_cast<int>(scratch.size()) == m) {
+    visit(static_cast<const std::vector<ColorId>&>(scratch));
+    return;
+  }
+  // kBlack (skip slot) allowed only as a prefix to keep multisets sorted.
+  if (scratch.empty() || scratch.back() == kBlack) {
+    scratch.push_back(kBlack);
+    enumerate_multisets(candidates, m, scratch, visit, from);
+    scratch.pop_back();
+  }
+  for (std::size_t i = from; i < candidates.size(); ++i) {
+    scratch.push_back(candidates[i]);
+    enumerate_multisets(candidates, m, scratch, visit, i);
+    scratch.pop_back();
+  }
+}
 
 /// Matrix-tier exact min-cost bijection turning per-slot `sources` into
 /// `targets` (same size; kBlack = unused slot): keeping a slot's color or

@@ -37,6 +37,12 @@ namespace rrs {
   return 63 - std::countl_zero(static_cast<std::uint64_t>(x));
 }
 
+/// Ceiling of log2(x): the smallest s with 2^s >= x.  Requires x >= 1.
+[[nodiscard]] constexpr int ceil_log2(std::int64_t x) {
+  RRS_CHECK(x >= 1);
+  return x == 1 ? 0 : floor_log2(x - 1) + 1;
+}
+
 /// Round `x` down to the nearest multiple of `m`.  Requires m >= 1, x >= 0.
 [[nodiscard]] constexpr std::int64_t floor_multiple(std::int64_t x,
                                                     std::int64_t m) {

@@ -158,7 +158,21 @@ TEST(Validator, RejectsOutOfRangeEvents) {
   {
     Schedule s = valid_schedule();
     s.execs.push_back({1, 0, 7, 1});  // resource out of range
-    EXPECT_FALSE(validate(inst, s).ok);
+    const ValidationResult v = validate(inst, s);
+    EXPECT_FALSE(v.ok);
+    // Only the shape error: the malformed schedule is never replayed.
+    ASSERT_EQ(v.errors.size(), 1u);
+    EXPECT_NE(v.errors[0].find("out of range"), std::string::npos)
+        << v.errors[0];
+  }
+  {
+    Schedule s = valid_schedule();
+    s.reconfigs.push_back({1, 0, 7, 0});  // reconfig resource out of range
+    const ValidationResult v = validate(inst, s);
+    EXPECT_FALSE(v.ok);
+    ASSERT_EQ(v.errors.size(), 1u);
+    EXPECT_NE(v.errors[0].find("resource 7 outside"), std::string::npos)
+        << v.errors[0];
   }
   {
     Schedule s = valid_schedule();
