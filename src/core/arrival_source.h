@@ -13,10 +13,17 @@
 // demand, so a run's memory footprint is O(pending jobs + colors) no
 // matter how long the horizon; MaterializedSource adapts an in-memory
 // Instance so all offline machinery keeps working unchanged.
+//
+// Sources that can serve a subset of their colors on their own offer
+// per-color views (view()): the sharded runner gives every shard engine
+// its own view of its ShardPlan colors, mirroring the paper's Distribute
+// partition.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,10 +44,14 @@ inline constexpr Round kInfiniteHorizon = -1;
 ///
 /// Pull contract: the engine (and materialize()) call arrivals_in_round()
 /// with consecutive rounds k = 0, 1, 2, ...; the returned span is valid
-/// only until the next pull.  Jobs must carry dense ids in pull order,
-/// arrival == k, and per-color constant delay_bound/drop_cost matching the
-/// metadata accessors (exactly what InstanceBuilder would produce for the
-/// same sequence).
+/// only until the next pull.  Jobs must carry arrival == k and per-color
+/// constant delay_bound/drop_cost/length matching the metadata accessors.
+/// Job ids must be unique within the stream; the engine ingests a
+/// same-color run of consecutive ids sharing one deadline as a single
+/// pending-store entry, so a source should emit each color-round batch
+/// with consecutive ids.  Ids need not start at 0 or be dense (a view of
+/// a MaterializedSource keeps the Instance's ids); only schedule
+/// validation against an Instance needs them to index its jobs().
 class ArrivalSource {
  public:
   virtual ~ArrivalSource() = default;
@@ -117,6 +128,26 @@ class ArrivalSource {
   /// Human-readable one-line summary for diagnostics.
   [[nodiscard]] virtual std::string summary() const;
 
+  // --- per-color views (sharded execution) ---
+
+  /// A fresh, unpulled source serving only `colors` (sorted, unique ids of
+  /// this source) under dense local ids, local i = colors[i]: metadata,
+  /// the cost model (cost_model().restricted(colors)) and emitted jobs all
+  /// use the local id space, and each color's arrivals are exactly its
+  /// arrivals in this source.  nullptr (the default) means the source
+  /// cannot serve a color subset on its own.
+  [[nodiscard]] virtual std::unique_ptr<ArrivalSource> view(
+      std::span<const ColorId> colors) const;
+
+  /// Changes a view's color set at its current round (adaptive
+  /// re-sharding): later pulls serve the new colors, each continuing its
+  /// own sequence where the round cursor stands.  Only views support it.
+  virtual void reassign(std::span<const ColorId> colors);
+
+  /// Per-local-color arrival counts served since the last call; resets.
+  /// Only views support it.
+  [[nodiscard]] virtual std::vector<std::int64_t> take_observed_counts();
+
   // --- checkpoint/restore (crash-safe service mode) ---
 
   /// Serializes the source's stream position (cursors, RNG streams, any
@@ -139,7 +170,9 @@ class ArrivalSource {
 
 /// Adapter presenting an Instance as an ArrivalSource.  Random access is
 /// supported (the instance is already materialized), so the sequential
-/// pull contract is not enforced here.
+/// pull contract is not enforced here.  Its views keep the Instance's job
+/// ids and serve each round by filtering the Instance's request; being
+/// random access, a view re-assigns colors without replaying anything.
 class MaterializedSource final : public ArrivalSource {
  public:
   explicit MaterializedSource(const Instance& instance)
@@ -181,6 +214,10 @@ class MaterializedSource final : public ArrivalSource {
   [[nodiscard]] std::string summary() const override {
     return instance_->summary();
   }
+  /// A view's materialized() is nullptr: the parent Instance's color ids
+  /// would mislead a policy with offline knowledge.
+  [[nodiscard]] std::unique_ptr<ArrivalSource> view(
+      std::span<const ColorId> colors) const override;
 
   /// A materialized source has no mutable stream state (random access
   /// over an owned-elsewhere Instance), so its checkpoint is a bare type

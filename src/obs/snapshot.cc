@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <utility>
 
@@ -53,6 +54,14 @@ void append_histogram(std::string& out, const Histogram& h) {
   out += "]}";
 }
 
+/// Keys of the three shard-splitter gauges that older snapshot lines carry
+/// between admission_rejected and mean_wait, in their order there.
+constexpr std::string_view kRetiredGaugeKeys[] = {
+    ",\"fabric_chunks_produced\":",
+    ",\"fabric_peak_chunks\":",
+    ",\"fabric_ring_occupancy\":",
+};
+
 /// Strict single-line cursor: every expect/parse advances or throws
 /// InputError.  The format is exactly what the writer emits — key order
 /// fixed, no whitespace — so any deviation is malformed input, not a
@@ -66,6 +75,13 @@ class Cursor {
                     s_.compare(pos_, lit.size(), lit) == 0,
                 "snapshot: expected '" << lit << "' at offset " << pos_);
     pos_ += lit.size();
+  }
+
+  /// Consumes `lit` when the input continues with it.
+  [[nodiscard]] bool accept(std::string_view lit) {
+    if (s_.compare(pos_, lit.size(), lit) != 0) return false;
+    pos_ += lit.size();
+    return true;
   }
 
   [[nodiscard]] bool peek(char c) const {
@@ -182,10 +198,6 @@ void merge_into(Snapshot& into, const Snapshot& from) {
   into.churn_evictions += from.churn_evictions;
   into.pending += from.pending;
   into.admission_rejected += from.admission_rejected;
-  into.fabric_chunks_produced += from.fabric_chunks_produced;
-  into.fabric_peak_chunks =
-      std::max(into.fabric_peak_chunks, from.fabric_peak_chunks);
-  into.fabric_ring_occupancy += from.fabric_ring_occupancy;
   into.wait.merge(from.wait);
   into.slack.merge(from.slack);
   into.service.merge(from.service);
@@ -223,12 +235,6 @@ std::string to_json_line(const Snapshot& snapshot) {
   append_int(out, snapshot.pending);
   out += ",\"admission_rejected\":";
   append_int(out, snapshot.admission_rejected);
-  out += ",\"fabric_chunks_produced\":";
-  append_int(out, snapshot.fabric_chunks_produced);
-  out += ",\"fabric_peak_chunks\":";
-  append_int(out, snapshot.fabric_peak_chunks);
-  out += ",\"fabric_ring_occupancy\":";
-  append_int(out, snapshot.fabric_ring_occupancy);
   out += ",\"mean_wait\":";
   append_double(out, snapshot.mean_wait);
   out += ",\"mean_slack\":";
@@ -274,12 +280,14 @@ Snapshot parse_snapshot_line(std::string_view line) {
   s.pending = c.parse_int();
   c.expect(",\"admission_rejected\":");
   s.admission_rejected = c.parse_int();
-  c.expect(",\"fabric_chunks_produced\":");
-  s.fabric_chunks_produced = c.parse_int();
-  c.expect(",\"fabric_peak_chunks\":");
-  s.fabric_peak_chunks = c.parse_int();
-  c.expect(",\"fabric_ring_occupancy\":");
-  s.fabric_ring_occupancy = c.parse_int();
+  // Older lines carry three retired shard-splitter gauges here; they are
+  // validated and dropped.
+  if (c.accept(kRetiredGaugeKeys[0])) {
+    for (std::size_t i = 0; i < std::size(kRetiredGaugeKeys); ++i) {
+      if (i > 0) c.expect(kRetiredGaugeKeys[i]);
+      RRS_REQUIRE(c.parse_int() >= 0, "snapshot: negative counter");
+    }
+  }
   c.expect(",\"mean_wait\":");
   s.mean_wait = c.parse_double();
   c.expect(",\"mean_slack\":");
@@ -302,9 +310,7 @@ Snapshot parse_snapshot_line(std::string_view line) {
                   s.work_units >= 0 && s.reconfig_events >= 0 &&
                   s.churn_failures >= 0 && s.churn_repairs >= 0 &&
                   s.churn_evictions >= 0 && s.pending >= 0 &&
-                  s.admission_rejected >= 0 &&
-                  s.fabric_chunks_produced >= 0 && s.fabric_peak_chunks >= 0 &&
-                  s.fabric_ring_occupancy >= 0,
+                  s.admission_rejected >= 0,
               "snapshot: negative counter");
   RRS_REQUIRE(s.admission_rejected <= s.drop_count,
               "snapshot: admission rejections exceed drop count");

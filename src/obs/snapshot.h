@@ -39,14 +39,6 @@ struct Snapshot {
   /// Arrivals shed by pending-budget admission control (cumulative; a
   /// subset of drop_count — shed jobs are charged as drops).
   std::int64_t admission_rejected = 0;
-  /// Shard-fabric gauges, stamped by the sharded runner on merged final
-  /// snapshots: chunks the demux thread produced, the peak number buffered
-  /// across all rings at once, and residual ring occupancy at run end
-  /// (nonzero only on abnormal exits).  All zero for serial runs and for
-  /// shard-native (demux-free) runs.
-  std::int64_t fabric_chunks_produced = 0;
-  std::int64_t fabric_peak_chunks = 0;  ///< merge takes the max, not the sum
-  std::int64_t fabric_ring_occupancy = 0;
   double mean_wait = 0.0;
   double mean_slack = 0.0;
   Histogram wait;
@@ -72,6 +64,9 @@ void merge_into(Snapshot& into, const Snapshot& from);
 /// Strict parser for exactly the format to_json_line() emits: fixed key
 /// order, no whitespace, full-line consumption.  Rejects NaN/Inf, overflow,
 /// trailing garbage, and internally inconsistent histograms with InputError.
+/// Also accepts the older format that carried three shard-splitter gauges
+/// between admission_rejected and mean_wait (each a non-negative integer,
+/// now ignored), so snapshot series stored in older checkpoints restore.
 [[nodiscard]] Snapshot parse_snapshot_line(std::string_view line);
 
 /// One JSON line per snapshot.

@@ -24,8 +24,6 @@ const char* trace_kind_name(TraceKind kind) {
       return "snapshot";
     case TraceKind::kReshard:
       return "reshard";
-    case TraceKind::kFabricStall:
-      return "fabric-stall";
   }
   return "unknown";
 }

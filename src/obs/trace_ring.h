@@ -18,7 +18,6 @@ enum class TraceKind : std::uint8_t {
   kAdaptation,     // detail = new cache-share percent, value = #adaptations
   kSnapshot,       // detail = 0, value = pending-job gauge
   kReshard,        // detail = #colors migrated, value = era index
-  kFabricStall,    // detail = ring index, value = ring occupancy at stall
 };
 
 [[nodiscard]] const char* trace_kind_name(TraceKind kind);

@@ -4,8 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
-#include <typeinfo>
 #include <utility>
 
 #include "algs/edf.h"
@@ -14,8 +12,6 @@
 #include "util/check.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
-#include "workload/generator_source.h"
-#include "workload/sharded_source.h"
 
 namespace rrs {
 
@@ -48,8 +44,8 @@ struct EraObservers {
 /// observers: stats relabeled through each era's local -> global color
 /// maps, timers summed, snapshot series merged point-wise with
 /// carry-forward (resharded runs have no series — snapshot_every must be
-/// 0 there), final snapshots merged, fabric gauges and kReshard trace
-/// events stamped from the run record.
+/// 0 there), final snapshots merged, and kReshard trace events stamped
+/// from the run record.
 void merge_shard_observers(Observer& merged,
                            const std::vector<EraObservers>& eras,
                            const ArrivalSource& source,
@@ -76,13 +72,6 @@ void merge_shard_observers(Observer& merged,
     }
   }
   merged.snapshots = merge_snapshot_series(series);
-  merged.final_snapshot.fabric_chunks_produced =
-      record.splitter_chunks_produced;
-  for (const std::int64_t peak : record.splitter_peak_chunks) {
-    merged.final_snapshot.fabric_peak_chunks =
-        std::max(merged.final_snapshot.fabric_peak_chunks, peak);
-  }
-  merged.final_snapshot.fabric_ring_occupancy = record.fabric_ring_occupancy;
   // Reshard events go in AFTER begin_run (which clears the ring).
   if (merged.config.trace) {
     for (std::size_t i = 0; i < record.reshard_rounds.size(); ++i) {
@@ -219,7 +208,7 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
   }
 
   // Resolve the arrival horizon up front (the engine's own resolution,
-  // hoisted): every shard engine and the fabric must agree on it.
+  // hoisted): every shard engine must agree on it.
   Round arrival_end = max_rounds;
   if (arrival_end == kInfiniteHorizon) {
     arrival_end = source.horizon();
@@ -247,42 +236,29 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
                                 granularity, options.color_weights);
   const auto shard_count = static_cast<std::size_t>(num_shards);
 
-  // Shard-native fast path: a cloneable generator gives every shard an
-  // independent restricted clone with its own per-color RNG streams — the
-  // demux fabric (and its thread) is skipped entirely.  The typeid guard
-  // rejects subclasses that inherit a base clone(): such a clone would
-  // synthesize the base arrival process, not the subclass's.
-  auto* const gen = dynamic_cast<GeneratorSource*>(&source);
-  bool native = options.use_native_sources && gen != nullptr;
-  if (native) {
-    const std::unique_ptr<GeneratorSource> probe = gen->clone();
-    native = probe != nullptr && typeid(*probe) == typeid(*gen);
-  }
-  std::vector<std::unique_ptr<GeneratorSource>> views;
-  if (native) {
-    views.reserve(shard_count);
+  // The one data path: every shard engine pulls its own per-color view of
+  // the source.  A lone shard is the whole workload, so a source without
+  // views runs directly there.
+  std::vector<std::unique_ptr<ArrivalSource>> views(shard_count);
+  const auto open_views = [&] {
     for (std::size_t s = 0; s < shard_count; ++s) {
-      views.push_back(gen->clone());
-      views.back()->restrict_to(record.plan.shard_colors[s]);
+      views[s] = source.view(record.plan.shard_colors[s]);
+      RRS_REQUIRE(views[s] != nullptr || num_shards == 1,
+                  "sharding into " << num_shards
+                                   << " shards needs a source with "
+                                      "per-color views; got "
+                                   << source.summary());
     }
-  }
-  record.native_sources = native;
-  RRS_REQUIRE(!ckpt_requested || native,
-              "sharded checkpointing requires shard-native sources: the "
-              "demux fabric's parent run-ahead is not repositionable");
-  record.splitter_peak_chunks.assign(shard_count, 0);
+  };
+  const auto slot_source = [&](std::size_t s) -> ArrivalSource& {
+    return views[s] != nullptr ? *views[s] : source;
+  };
+  open_views();
+  // One shard owns every color and all n resources under any weights, so
+  // its plan can never change: re-sharding epochs only apply for K > 1.
+  const Round reshard_every = num_shards > 1 ? options.reshard_every : 0;
 
   ThreadPool& pool = global_pool();
-  // Backpressure only helps when every shard consumer actually runs
-  // concurrently; with fewer workers than shards (or when already inside
-  // a pool worker) the engines run serially and waiting on a consumer
-  // that has not started would only burn the timeout per chunk.
-  const bool concurrent = !ThreadPool::in_worker() &&
-                          pool.size() >= shard_count;
-  ShardedSourceOptions split_options;
-  split_options.chunk_rounds = options.chunk_rounds;
-  split_options.max_buffered_chunks = options.max_buffered_chunks;
-  split_options.backpressure = concurrent;
 
   // Map the global fault plan onto the shards' contiguous resource blocks
   // (validated against the global pool first, so errors name global
@@ -310,9 +286,8 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
   std::vector<EngineColorState> imports;
   bool rebuild = true;
 
-  // Builds one era's observers, policies, and engines; `src_of` maps a
-  // slot to the ArrivalSource its engine is constructed over.
-  const auto build_era = [&](Round start_round, auto&& src_of) {
+  // Builds one era's observers, policies, and engines over the views.
+  const auto build_era = [&](Round start_round) {
     EraObservers era;
     era.color_maps = record.plan.shard_colors;
     if (!options.shard_observers.empty()) {
@@ -341,7 +316,7 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
       if (!eras.back().obs.empty()) {
         engine_options.observer = eras.back().obs[s];
       }
-      engines[s] = std::make_unique<Engine>(src_of(s), *policies[s],
+      engines[s] = std::make_unique<Engine>(slot_source(s), *policies[s],
                                             engine_options, start_round);
     }
   };
@@ -356,11 +331,7 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
     bool restored = false;
     std::string last_error;
     for (const CheckpointFile& m : list_checkpoints(dir, ".manifest")) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        views[s] = gen->clone();
-        views[s]->restrict_to(record.plan.shard_colors[s]);
-      }
-      build_era(0, [&](std::size_t s) -> ArrivalSource& { return *views[s]; });
+      build_era(0);
       try {
         std::ifstream min(m.path, std::ios::binary);
         RRS_REQUIRE(min.good(), "cannot open checkpoint manifest "
@@ -400,7 +371,7 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
           std::ifstream sin(side, std::ios::binary);
           RRS_REQUIRE(sin.good(),
                       "cannot open checkpoint sidecar " << side.string());
-          engines[s]->restore(sin, views[s].get());
+          engines[s]->restore(sin, &slot_source(s));
         }
         seg_begin = round;
         restored = true;
@@ -410,6 +381,7 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
         eras.pop_back();
         for (auto& eng : engines) eng.reset();
         for (auto& p : policies) p.reset();
+        open_views();
       }
     }
     RRS_REQUIRE(restored, "no usable checkpoint set in "
@@ -422,28 +394,15 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
 
   // The era/segment loop.  Each iteration runs rounds
   // [seg_begin, seg_end); with reshard_every == 0 there is exactly one
-  // segment covering the whole arrival range.  The fabric (when not
-  // native) is rebuilt per segment so a plan change never has to rewind
-  // the sequential parent source: each fabric pulls exactly its segment
-  // and is joined before the next one starts.
+  // segment covering the whole arrival range.
   do {
     const Round seg_end =
-        options.reshard_every > 0
-            ? std::min(seg_begin + options.reshard_every, arrival_end)
-            : arrival_end;
-    std::optional<ShardedSource> sharded;
-    if (!native) {
-      sharded.emplace(source, record.plan, seg_end, split_options, seg_begin,
-                      arrival_end);
-    }
-    const auto slot_source = [&](std::size_t s) -> ArrivalSource& {
-      if (native) return *views[s];
-      return sharded->stream(static_cast<int>(s));
-    };
+        reshard_every > 0 ? std::min(seg_begin + reshard_every, arrival_end)
+                          : arrival_end;
 
     if (rebuild) {
       rebuild = false;
-      build_era(seg_begin, slot_source);
+      build_era(seg_begin);
       if (!imports.empty()) {
         for (std::size_t s = 0; s < shard_count; ++s) {
           const std::vector<ColorId>& colors = record.plan.shard_colors[s];
@@ -492,7 +451,7 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
           std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
           RRS_REQUIRE(out.good(),
                       "cannot write checkpoint sidecar " << tmp.string());
-          engines[s]->checkpoint(out, views[s].get());
+          engines[s]->checkpoint(out, &slot_source(s));
         }
         std::filesystem::rename(tmp, side);
       }
@@ -525,28 +484,15 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
     }
     run_segment(seg_end);
 
-    if (!native) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        record.splitter_peak_chunks[s] =
-            std::max(record.splitter_peak_chunks[s],
-                     sharded->peak_buffered_chunks(static_cast<int>(s)));
-        record.fabric_ring_occupancy +=
-            sharded->ring_occupancy(static_cast<int>(s));
-      }
-      record.splitter_chunks_produced += sharded->chunks_produced();
-    }
-
     if (seg_end < arrival_end) {
-      // Epoch boundary: re-derive the plan from the rates each shard's
-      // consumer observed this epoch (counts + 1, so idle colors keep a
-      // positive weight).  Counting is consumer-side, so fabric run-ahead
-      // never inflates a rate.
+      // Epoch boundary: re-derive the plan from the rates each shard's view
+      // served this epoch (counts + 1, so idle colors keep a positive
+      // weight).
       std::vector<double> weights(
           static_cast<std::size_t>(source.num_colors()), 1.0);
       for (std::size_t s = 0; s < shard_count; ++s) {
         const std::vector<std::int64_t> counts =
-            native ? views[s]->take_observed_counts()
-                   : sharded->take_observed_counts(static_cast<int>(s));
+            views[s]->take_observed_counts();
         const std::vector<ColorId>& colors = record.plan.shard_colors[s];
         for (std::size_t l = 0; l < colors.size(); ++l) {
           weights[static_cast<std::size_t>(colors[l])] =
@@ -589,10 +535,8 @@ ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
         for (Observer* obs : eras.back().obs) {
           obs->final_snapshot.pending = 0;
         }
-        if (native) {
-          for (std::size_t s = 0; s < shard_count; ++s) {
-            views[s]->reassign(next.shard_colors[s]);
-          }
+        for (std::size_t s = 0; s < shard_count; ++s) {
+          views[s]->reassign(next.shard_colors[s]);
         }
         record.reshard_rounds.push_back(seg_end);
         record.reshard_moved_colors.push_back(moved);

@@ -1,7 +1,6 @@
 // One-call experiment runner: algorithm name + instance -> measured record.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "algs/registry.h"
@@ -74,10 +73,6 @@ struct ShardedRunOptions {
   /// means uniform.  Use observe_color_weights on a probe source to
   /// balance shards by observed rate.
   std::vector<double> color_weights;
-  /// Rounds demultiplexed per produced fabric chunk.
-  Round chunk_rounds = 256;
-  /// Buffered chunks per shard before the splitter applies backpressure.
-  std::size_t max_buffered_chunks = 64;
   /// Optional capacity-churn schedule over the GLOBAL resource indices
   /// [0, n); split_fault_plan maps it onto the shards' contiguous resource
   /// blocks (kHottestResource events reach every shard).  Not owned.
@@ -105,27 +100,19 @@ struct ShardedRunOptions {
   /// would silently lose earlier eras.
   std::vector<Observer*> shard_observers;
   /// Adaptive re-sharding epoch: every this many rounds the runner takes
-  /// the per-color arrival counts each shard consumer observed since the
+  /// the per-color arrival counts each shard's view served since the
   /// last boundary, recomputes the LPT plan from them (weights =
   /// counts + 1), and — if the plan changed — migrates every color's
   /// state (pending jobs, policy scratch) into freshly built engines
-  /// under the new plan.  0 (default) disables: one plan for the whole
-  /// run.  Requires no fault plan, no caller shard_observers, and no
-  /// periodic snapshot series (ObsConfig::snapshot_every == 0) — those
-  /// features assume one engine generation per shard.
+  /// under the new plan, whose views reassign() their colors in place.
+  /// 0 (default) disables: one plan for the whole run.  Requires no fault
+  /// plan, no caller shard_observers, and no periodic snapshot series
+  /// (ObsConfig::snapshot_every == 0) — those features assume one engine
+  /// generation per shard.
   Round reshard_every = 0;
-  /// Serve generated workloads shard-natively: when the source is a
-  /// GeneratorSource whose clone() is implemented, each shard gets its own
-  /// restricted clone (independent per-color RNG streams) and synthesizes
-  /// exactly its colors' jobs locally — no demux thread, no rings, no
-  /// cross-thread handoff.  Costs are bit-identical to the demuxed fabric
-  /// (job ids differ: they are locally dense).  Sources that don't support
-  /// cloning fall back to the fabric silently.
-  bool use_native_sources = true;
   /// Crash-safe checkpoint/resume.  Requires reshard_every == 0 (one
-  /// engine generation per shard) and shard-native sources (each shard's
-  /// restricted generator view carries its own checkpointable cursor; the
-  /// demux fabric's parent run-ahead is not repositionable).  Directory
+  /// engine generation per shard) and a source whose views checkpoint
+  /// (each shard's sidecar embeds its own view's position).  Directory
   /// for `ckpt-<round>.manifest` + `ckpt-<round>.shard<k>` sets; empty
   /// disables both knobs below.
   std::string checkpoint_dir;
@@ -138,8 +125,7 @@ struct ShardedRunOptions {
   /// Before running, restore every shard from the newest valid checkpoint
   /// set in checkpoint_dir (corrupt or incomplete sets are skipped to the
   /// next-oldest; InputError when none is usable).  The resumed run's
-  /// merged record is bit-identical to the uninterrupted run's
-  /// (diagnostics-only splitter gauges aside).
+  /// merged record is bit-identical to the uninterrupted run's.
   bool resume = false;
 };
 
@@ -154,18 +140,6 @@ struct ShardedRunRecord {
   StreamRunRecord merged;                ///< n = total budget
   std::vector<StreamRunRecord> shards;   ///< per-shard, n = shard slice
   ShardPlan plan;                        ///< the partition that was run
-  /// Splitter queue-depth gauges: peak buffered chunks per shard and total
-  /// chunks produced.  The peaks are timing-dependent (consumer scheduling
-  /// varies run to run), so they are diagnostics — deliberately kept out
-  /// of `merged`/`shards`, whose fields are deterministic.
-  std::vector<std::int64_t> splitter_peak_chunks;
-  std::int64_t splitter_chunks_produced = 0;
-  /// Residual chunks left in the rings when each segment's fabric shut
-  /// down, summed (0 on a clean run — consumers drain their segments).
-  std::int64_t fabric_ring_occupancy = 0;
-  /// True when the run served arrivals shard-natively (no demux fabric);
-  /// the splitter gauges are then all zero.
-  bool native_sources = false;
   /// Re-sharding log, one entry per boundary where the plan CHANGED: the
   /// boundary round and how many colors moved shards there.  With
   /// reshard_every == 0 (or when every boundary kept the plan) both stay
@@ -178,11 +152,13 @@ struct ShardedRunRecord {
 /// Runs `name` against `source` split into `num_shards` independent
 /// engines (own PendingJobs, CacheAssignment, and policy instance per
 /// shard) over the shared global_pool().  The color partition mirrors the
-/// paper's Distribute reduction, so shards never contend: results are
-/// run-to-run deterministic for a fixed (source seed, num_shards), and
-/// num_shards == 1 is bit-identical to run_streaming.  When the pool has
-/// fewer workers than shards the engines run serially (same results; the
-/// splitter then buffers the full spread between shards in memory).
+/// paper's Distribute reduction, so shards never contend: each shard
+/// engine pulls its own per-color view of `source` (ArrivalSource::view),
+/// results are run-to-run deterministic for a fixed (source seed,
+/// num_shards), and num_shards == 1 is bit-identical to run_streaming.
+/// A source without views is rejected with InputError when
+/// num_shards > 1; with one shard it is run directly.  When the pool has
+/// fewer workers than shards the engines run serially (same results).
 [[nodiscard]] ShardedRunRecord run_streaming_sharded(
     ArrivalSource& source, const std::string& name, int n, int num_shards,
     Round max_rounds = kInfiniteHorizon,

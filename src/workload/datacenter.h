@@ -46,7 +46,7 @@ struct DatacenterParams {
 /// Lazy streaming datacenter workload: per-service on/off phase processes
 /// advanced one round at a time.  Per-color decomposable (each service's
 /// phase walk lives entirely in its own stream), so it supports
-/// shard-native views via clone()/restrict_to().
+/// per-color views via clone()/restrict_to().
 class DatacenterSource final : public GeneratorSource {
  public:
   explicit DatacenterSource(const DatacenterParams& params);

@@ -38,7 +38,7 @@ struct FlashCrowdParams {
 /// Lazy streaming flash-crowd workload.  The spike color is always
 /// color 0; background colors follow.  Per-color decomposable (each
 /// color's rate is a pure function of the round), so it supports
-/// shard-native views via clone()/restrict_to().
+/// per-color views via clone()/restrict_to().
 class FlashCrowdSource final : public GeneratorSource {
  public:
   explicit FlashCrowdSource(const FlashCrowdParams& params);

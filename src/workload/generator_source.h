@@ -11,19 +11,19 @@
 //     a round — exactly the id/order InstanceBuilder produces when the
 //     same sequence is pulled round-major into add_jobs().
 //
-// Shard-native views: a generator whose colors draw from independent
-// per-color streams can serve one shard of a ShardPlan without any demux —
-// clone() the generator, restrict_to() the shard's colors, and the view
-// synthesizes only those colors' draws (each color's sequence is identical
-// to its sequence in the full stream, so the per-shard arrivals are
-// bit-identical to what the demux fabric would deliver, modulo job ids
-// being locally dense).  Subclasses opt in by implementing clone() and
-// synthesize_color(); the default synthesize() then iterates the active
-// colors in ascending global order.  reassign() changes a live view's
-// color set mid-stream (adaptive re-sharding): newly acquired colors are
-// fast-forwarded by replaying their draws in discard mode up to the view's
-// current round, so ownership can move between views without ever
-// rewinding a stream.
+// Per-color views: a generator whose colors draw from independent
+// per-color streams can serve any color subset on its own — view() clones
+// the generator and restrict_to()s the clone, which then synthesizes only
+// those colors' draws.  Each color's sequence is identical to its sequence
+// in the full stream, so a view's arrivals are exactly the full stream's
+// jobs of its colors (relabeled to local color ids, with job ids dense in
+// the view's own emission order).  Subclasses opt in by implementing
+// clone() and synthesize_color(); the default synthesize() then iterates
+// the active colors in ascending global order.  reassign() changes a live
+// view's color set mid-stream (adaptive re-sharding): newly acquired
+// colors are fast-forwarded by replaying their draws in discard mode up to
+// the view's current round, so ownership can move between views without
+// ever rewinding a stream.
 #pragma once
 
 #include <array>
@@ -50,7 +50,7 @@ namespace rrs {
 /// Base class for streaming workload generators.  Subclasses register
 /// colors in their constructor (add_color) and implement either
 /// synthesize_color(color, k) — per-color decomposable generators, which
-/// then also support shard-native views — or synthesize(k) wholesale,
+/// then also support per-color views — or synthesize(k) wholesale,
 /// calling emit() once per (color, batch) in ascending color order.
 class GeneratorSource : public ArrivalSource {
  public:
@@ -72,10 +72,10 @@ class GeneratorSource : public ArrivalSource {
 
   /// Scalar model over the (possibly restricted) color set.  Built from
   /// the global metadata and then restricted, so a view's model equals
-  /// `parent.cost_model().restricted(colors)` — what the demux fabric
-  /// hands its engines.  Subclasses with richer pricing may override, but
-  /// such generators must not also offer clone() (native views rely on
-  /// this base implementation re-indexing correctly).
+  /// `parent.cost_model().restricted(colors)`, as the view() contract
+  /// requires.  Subclasses with richer pricing may override, but such
+  /// generators must not also offer clone() (views rely on this base
+  /// implementation re-indexing correctly).
   [[nodiscard]] const CostModel& cost_model() const override {
     if (!model_ready_) {
       CostModel full;
@@ -169,14 +169,24 @@ class GeneratorSource : public ArrivalSource {
     return limit;
   }
 
-  // --- shard-native view support ---
+  // --- per-color view support ---
 
   /// A fresh, unpulled copy of this generator (same parameters and seed).
   /// Subclasses whose colors draw from independent per-color streams
-  /// override this (and synthesize_color) to enable shard-native views;
-  /// the default returns nullptr, meaning "demux me instead".
+  /// override this (and synthesize_color) to enable per-color views; the
+  /// default returns nullptr: the generator serves no views.
   [[nodiscard]] virtual std::unique_ptr<GeneratorSource> clone() const {
     return nullptr;
+  }
+
+  /// clone() restricted to `colors`; nullptr when clone() is not
+  /// implemented.
+  [[nodiscard]] std::unique_ptr<ArrivalSource> view(
+      std::span<const ColorId> colors) const override {
+    RRS_REQUIRE(!restricted_, "a view cannot be restricted again");
+    std::unique_ptr<GeneratorSource> restricted = clone();
+    if (restricted != nullptr) restricted->restrict_to(colors);
+    return restricted;
   }
 
   /// Turns a fresh clone into a view over `colors` (sorted, unique global
@@ -196,7 +206,7 @@ class GeneratorSource : public ArrivalSource {
   /// from the round where some view last held them (or 0) up to this
   /// view's current round are replayed in discard mode, so the color's
   /// stream position is exactly as if this view had owned it all along.
-  void reassign(std::span<const ColorId> colors) {
+  void reassign(std::span<const ColorId> colors) override {
     RRS_REQUIRE(restricted_,
                 "reassign needs a restricted view; call restrict_to first");
     // A peek would hold jobs labeled in the outgoing color set; segment
@@ -216,7 +226,7 @@ class GeneratorSource : public ArrivalSource {
   }
 
   /// Per-local-color arrival counts emitted since the last call; resets.
-  [[nodiscard]] std::vector<std::int64_t> take_observed_counts() {
+  [[nodiscard]] std::vector<std::int64_t> take_observed_counts() override {
     std::vector<std::int64_t> counts = std::move(observed_);
     observed_.assign(counts.size(), 0);
     return counts;
@@ -356,7 +366,7 @@ class GeneratorSource : public ArrivalSource {
   /// order, only for rounds inside the horizon.  The default iterates the
   /// active colors in ascending global order through synthesize_color();
   /// generators that are not per-color decomposable override this
-  /// wholesale (and then cannot serve shard-native views).
+  /// wholesale (and then cannot serve per-color views).
   virtual void synthesize(Round k) {
     if (restricted_) {
       for (const ColorId c : active_) synthesize_color(c, k);

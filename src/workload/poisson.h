@@ -32,7 +32,7 @@ struct PoissonParams {
 };
 
 /// Lazy streaming unbatched Poisson workload.  Per-color decomposable:
-/// supports shard-native views via clone()/restrict_to().
+/// supports per-color views via clone()/restrict_to().
 class PoissonSource final : public GeneratorSource {
  public:
   explicit PoissonSource(const PoissonParams& params);

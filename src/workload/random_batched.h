@@ -38,7 +38,7 @@ struct RandomBatchedParams {
 };
 
 /// Lazy streaming random batched workload (rate-limited iff
-/// burst_factor <= 1).  Per-color decomposable: supports shard-native
+/// burst_factor <= 1).  Per-color decomposable: supports per-color
 /// views via clone()/restrict_to().
 class RandomBatchedSource final : public GeneratorSource {
  public:

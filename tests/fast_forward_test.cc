@@ -221,34 +221,36 @@ TEST(FastForwardSkips, LongGapIsActuallyJumped) {
   EXPECT_GT(on.rounds, 100000);
 }
 
+/// A source with no optional capabilities: no fast-forward hint, no
+/// per-color views, no checkpointing.  Counts its pulls.
+class OpaqueSource final : public ArrivalSource {
+ public:
+  explicit OpaqueSource(const Instance& instance) : inner_(instance) {}
+  [[nodiscard]] Cost delta() const override { return inner_.delta(); }
+  [[nodiscard]] ColorId num_colors() const override {
+    return inner_.num_colors();
+  }
+  [[nodiscard]] Round delay_bound(ColorId color) const override {
+    return inner_.delay_bound(color);
+  }
+  [[nodiscard]] Cost drop_cost(ColorId color) const override {
+    return inner_.drop_cost(color);
+  }
+  [[nodiscard]] Round horizon() const override { return inner_.horizon(); }
+  [[nodiscard]] std::span<const Job> arrivals_in_round(Round k) override {
+    ++pulls_;
+    return inner_.arrivals_in_round(k);
+  }
+  [[nodiscard]] std::int64_t pulls() const { return pulls_; }
+
+ private:
+  MaterializedSource inner_;
+  std::int64_t pulls_ = 0;
+};
+
 TEST(FastForwardContract, DefaultSourceHintNeverSkips) {
   // The base-class next_event_round returns k: an unaudited source is
   // never skipped past, so fast-forward on it degrades to the plain loop.
-  class OpaqueSource final : public ArrivalSource {
-   public:
-    explicit OpaqueSource(const Instance& instance) : inner_(instance) {}
-    [[nodiscard]] Cost delta() const override { return inner_.delta(); }
-    [[nodiscard]] ColorId num_colors() const override {
-      return inner_.num_colors();
-    }
-    [[nodiscard]] Round delay_bound(ColorId color) const override {
-      return inner_.delay_bound(color);
-    }
-    [[nodiscard]] Cost drop_cost(ColorId color) const override {
-      return inner_.drop_cost(color);
-    }
-    [[nodiscard]] Round horizon() const override { return inner_.horizon(); }
-    [[nodiscard]] std::span<const Job> arrivals_in_round(Round k) override {
-      ++pulls_;
-      return inner_.arrivals_in_round(k);
-    }
-    [[nodiscard]] std::int64_t pulls() const { return pulls_; }
-
-   private:
-    MaterializedSource inner_;
-    std::int64_t pulls_ = 0;
-  };
-
   InstanceBuilder builder;
   const ColorId c = builder.add_color(/*d=*/4);
   builder.add_jobs(c, 0, 2);
@@ -262,6 +264,39 @@ TEST(FastForwardContract, DefaultSourceHintNeverSkips) {
   expect_identical(through, reference, "opaque source");
   // Every arrival-range round was pulled individually.
   EXPECT_GE(opaque.pulls(), 500);
+}
+
+TEST(OpaqueSourceSharding, RejectedAcrossShardsRunsAsOneShard) {
+  // A source without per-color views cannot be split: K = 2 is an
+  // InputError naming the source, while K = 1 runs it directly,
+  // bit-identical to run_streaming.
+  InstanceBuilder builder;
+  const ColorId a = builder.add_color(/*d=*/4);
+  const ColorId b = builder.add_color(/*d=*/8);
+  for (Round k = 0; k < 64; k += 4) {
+    builder.add_jobs(a, k, 3);
+    builder.add_jobs(b, k + 1, 2);
+  }
+  const Instance instance = builder.build();
+
+  OpaqueSource split(instance);
+  try {
+    (void)run_streaming_sharded(split, "dlru-edf", 8, 2);
+    ADD_FAILURE() << "K = 2 over a view-less source must throw";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find(split.summary()), std::string::npos)
+        << e.what();
+  }
+
+  OpaqueSource whole(instance);
+  const ShardedRunRecord sharded =
+      run_streaming_sharded(whole, "dlru-edf", 8, 1);
+  OpaqueSource serial(instance);
+  const StreamRunRecord reference = run_streaming(serial, "dlru-edf", 8);
+  expect_identical(sharded.merged, reference, "opaque source, K = 1");
+  ASSERT_EQ(sharded.shards.size(), 1u);
+  expect_identical(sharded.shards[0], reference, "opaque shard 0");
+  EXPECT_GT(reference.arrived, 0);
 }
 
 }  // namespace

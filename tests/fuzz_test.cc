@@ -416,6 +416,36 @@ TEST(SnapshotFuzz, RejectsInternallyInconsistentSnapshots) {
                InputError);
 }
 
+TEST(SnapshotFuzz, OlderLinesWithSplitterGaugesParseToTheSameSnapshot) {
+  // Lines written before the shard-splitter gauges were retired carry
+  // three more non-negative integer keys between admission_rejected and
+  // mean_wait.  Observer checkpoints store snapshot series as such lines,
+  // so the parser skips the three and yields the same Snapshot.
+  const std::string kOlderGauges =
+      ",\"fabric_chunks_produced\":12,\"fabric_peak_chunks\":3,"
+      "\"fabric_ring_occupancy\":0";
+  const std::string valid = valid_snapshot_stream(26);
+  std::istringstream in(valid);
+  const std::vector<Snapshot> snapshots = read_snapshots(in);
+  ASSERT_GE(snapshots.size(), 3u);
+  for (const Snapshot& s : snapshots) {
+    const std::string line = to_json_line(s);
+    const std::size_t at = line.find(",\"mean_wait\":");
+    ASSERT_NE(at, std::string::npos);
+    std::string older = line;
+    older.insert(at, kOlderGauges);
+    EXPECT_EQ(parse_snapshot_line(older), s) << older;
+
+    // The old keys stay strict: all three, in order, non-negative.
+    std::string negative = older;
+    negative.replace(negative.find(":12,"), 4, ":-1,");
+    EXPECT_THROW((void)parse_snapshot_line(negative), InputError);
+    std::string partial = line;
+    partial.insert(at, kOlderGauges.substr(0, kOlderGauges.find(",\"", 1)));
+    EXPECT_THROW((void)parse_snapshot_line(partial), InputError);
+  }
+}
+
 // --- checkpoint corpus fuzzing ---------------------------------------------
 
 /// Engine::restore's contract off the happy path: any byte stream either

@@ -28,7 +28,6 @@
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
 #include "workload/random_batched.h"
-#include "workload/sharded_source.h"
 
 namespace rrs {
 namespace {
@@ -647,16 +646,14 @@ TEST_P(ShardedVsPostHoc, MergedStatsEqualRelabeledPostHocSums) {
   // plan, materialize each shard's relabeled sub-workload, and run the
   // offline instrument on it.
   const auto resplit_source = make_source(family, seed);
-  ShardedSourceOptions split_options;
-  split_options.backpressure = false;  // shards materialized serially
-  ShardedSource resplit(*resplit_source, record.plan, arrival_end,
-                        split_options);
 
   DistributionSummary wait_sum, slack_sum;
   std::vector<ColorMetrics> global_colors(
       static_cast<std::size_t>(resplit_source->num_colors()));
   for (int s = 0; s < kShards; ++s) {
-    const Instance sub = materialize(resplit.stream(s));
+    const std::unique_ptr<ArrivalSource> view = resplit_source->view(
+        record.plan.shard_colors[static_cast<std::size_t>(s)]);
+    const Instance sub = materialize(*view, arrival_end);
     Schedule schedule;
     (void)run_algorithm(sub, algorithm,
                         record.plan.shard_resources[static_cast<std::size_t>(

@@ -5,10 +5,10 @@
 //   * MigrationCompositionPin — the runner's era loop (observe rates ->
 //     replan -> export/import every color -> fresh engines) produces
 //     exactly the totals of the same composition performed by hand through
-//     the public Engine / ShardedSource / make_shard_plan API.
-//   * NativeVsFabricPin — the demux-fabric data path and the shard-native
-//     generator path agree bit-identically on a run that actually
-//     re-shards, including where it re-sharded.
+//     the public Engine / ArrivalSource::view / make_shard_plan API.
+//   * GeneratorVsMaterializedPin — generator views and views of the
+//     generator's materialized Instance agree bit-identically on a run
+//     that actually re-shards, including where it re-sharded.
 //   * K=1 / plan-stable runs are bit-identical to their non-adaptive
 //     counterparts: re-sharding that never migrates must be a no-op.
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "util/check.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
-#include "workload/sharded_source.h"
 
 namespace rrs {
 namespace {
@@ -192,68 +191,63 @@ TEST(ReshardTest, MigrationCompositionPin) {
       make_shard_plan(inst.num_colors(), kShards, kResources, granularity);
 
   MaterializedSource manual_source(inst);
-  ShardedSourceOptions fabric_options;
-  fabric_options.backpressure = false;  // consumed serially below
+  std::vector<std::unique_ptr<ArrivalSource>> views;
+  for (const std::vector<ColorId>& colors : plan1.shard_colors) {
+    views.push_back(manual_source.view(colors));
+  }
   std::vector<EngineResult> results;
   std::vector<EngineColorState> exported(
       static_cast<std::size_t>(inst.num_colors()));
   std::vector<double> weights(static_cast<std::size_t>(inst.num_colors()),
                               1.0);
-  {
-    ShardedSource fabric(manual_source, plan1, kBoundary, fabric_options,
-                         /*begin_round=*/0, /*advertised_horizon=*/kEnd);
-    for (int s = 0; s < kShards; ++s) {
-      EngineOptions engine_options;
-      engine_options.num_resources =
-          plan1.shard_resources[static_cast<std::size_t>(s)];
-      engine_options.replication = 2;
-      engine_options.record_schedule = false;
-      engine_options.max_rounds = kEnd;
-      engine_options.drain_pending = true;
-      const std::unique_ptr<Policy> policy = make_policy("dlru-edf");
-      Engine engine(fabric.stream(s), *policy, engine_options);
-      engine.run_rounds(fabric.stream(s), kBoundary);
-      const std::vector<std::int64_t> counts =
-          fabric.take_observed_counts(s);
-      const std::vector<ColorId>& colors =
-          plan1.shard_colors[static_cast<std::size_t>(s)];
-      for (std::size_t l = 0; l < colors.size(); ++l) {
-        weights[static_cast<std::size_t>(colors[l])] =
-            static_cast<double>(counts[l]) + 1.0;
-        exported[static_cast<std::size_t>(colors[l])] =
-            engine.export_color(static_cast<ColorId>(l));
-      }
-      results.push_back(engine.abandon());
+  for (int s = 0; s < kShards; ++s) {
+    ArrivalSource& view = *views[static_cast<std::size_t>(s)];
+    EngineOptions engine_options;
+    engine_options.num_resources =
+        plan1.shard_resources[static_cast<std::size_t>(s)];
+    engine_options.replication = 2;
+    engine_options.record_schedule = false;
+    engine_options.max_rounds = kEnd;
+    engine_options.drain_pending = true;
+    const std::unique_ptr<Policy> policy = make_policy("dlru-edf");
+    Engine engine(view, *policy, engine_options);
+    engine.run_rounds(view, kBoundary);
+    const std::vector<std::int64_t> counts = view.take_observed_counts();
+    const std::vector<ColorId>& colors =
+        plan1.shard_colors[static_cast<std::size_t>(s)];
+    for (std::size_t l = 0; l < colors.size(); ++l) {
+      weights[static_cast<std::size_t>(colors[l])] =
+          static_cast<double>(counts[l]) + 1.0;
+      exported[static_cast<std::size_t>(colors[l])] =
+          engine.export_color(static_cast<ColorId>(l));
     }
-  }  // era-1 fabric joins; the parent source sits exactly at kBoundary
+    results.push_back(engine.abandon());
+  }
 
   const ShardPlan plan2 = make_shard_plan(inst.num_colors(), kShards,
                                           kResources, granularity, weights);
   EXPECT_EQ(plan2.shard_of_color, record.plan.shard_of_color);
   EXPECT_NE(plan2.shard_of_color, plan1.shard_of_color);
-  {
-    ShardedSource fabric(manual_source, plan2, kEnd, fabric_options,
-                         /*begin_round=*/kBoundary,
-                         /*advertised_horizon=*/kEnd);
-    for (int s = 0; s < kShards; ++s) {
-      EngineOptions engine_options;
-      engine_options.num_resources =
-          plan2.shard_resources[static_cast<std::size_t>(s)];
-      engine_options.replication = 2;
-      engine_options.record_schedule = false;
-      engine_options.max_rounds = kEnd;
-      engine_options.drain_pending = true;
-      const std::unique_ptr<Policy> policy = make_policy("dlru-edf");
-      Engine engine(fabric.stream(s), *policy, engine_options, kBoundary);
-      const std::vector<ColorId>& colors =
-          plan2.shard_colors[static_cast<std::size_t>(s)];
-      for (std::size_t l = 0; l < colors.size(); ++l) {
-        engine.import_color(static_cast<ColorId>(l),
-                            exported[static_cast<std::size_t>(colors[l])]);
-      }
-      engine.run_rounds(fabric.stream(s), kEnd);
-      results.push_back(engine.finish());
+  for (int s = 0; s < kShards; ++s) {
+    ArrivalSource& view = *views[static_cast<std::size_t>(s)];
+    view.reassign(plan2.shard_colors[static_cast<std::size_t>(s)]);
+    EngineOptions engine_options;
+    engine_options.num_resources =
+        plan2.shard_resources[static_cast<std::size_t>(s)];
+    engine_options.replication = 2;
+    engine_options.record_schedule = false;
+    engine_options.max_rounds = kEnd;
+    engine_options.drain_pending = true;
+    const std::unique_ptr<Policy> policy = make_policy("dlru-edf");
+    Engine engine(view, *policy, engine_options, kBoundary);
+    const std::vector<ColorId>& colors =
+        plan2.shard_colors[static_cast<std::size_t>(s)];
+    for (std::size_t l = 0; l < colors.size(); ++l) {
+      engine.import_color(static_cast<ColorId>(l),
+                          exported[static_cast<std::size_t>(colors[l])]);
     }
+    engine.run_rounds(view, kEnd);
+    results.push_back(engine.finish());
   }
 
   CostBreakdown cost;
@@ -276,7 +270,7 @@ TEST(ReshardTest, MigrationCompositionPin) {
             record.merged.arrived);
 }
 
-// --- Native vs fabric cross-validation --------------------------------------
+// --- Generator vs materialized cross-validation -----------------------------
 
 FlashCrowdParams reshard_crowd_params() {
   FlashCrowdParams params;
@@ -287,40 +281,43 @@ FlashCrowdParams reshard_crowd_params() {
   return params;
 }
 
-TEST(ReshardTest, NativeVsFabricPin) {
-  // A flash crowd forces the plan to chase the spike color.  The demuxed
-  // fabric and the shard-native clone path are entirely different data
-  // paths (threads + rings vs per-shard RNG streams) and must agree
-  // bit-identically — on the results and on where they re-sharded.
+TEST(ReshardTest, GeneratorVsMaterializedPin) {
+  // A flash crowd forces the plan to chase the spike color.  Generator
+  // views (per-shard clones replaying per-color RNG streams, reassigned by
+  // replay) and views of the generator's materialized Instance (filtered
+  // random access, reassigned in place) are entirely different data paths
+  // and must agree bit-identically — on the results and on where they
+  // re-sharded.  Both runs stop arrivals at the generator's horizon.
+  const FlashCrowdParams params = reshard_crowd_params();
   ShardedRunOptions options;
   options.reshard_every = 64;
 
-  options.use_native_sources = true;
-  FlashCrowdSource native_source(reshard_crowd_params());
-  const ShardedRunRecord native = run_streaming_sharded(
-      native_source, "dlru-edf", 16, 2, kInfiniteHorizon, options);
-  EXPECT_TRUE(native.native_sources);
-  EXPECT_EQ(native.splitter_chunks_produced, 0);
+  FlashCrowdSource generated_source(params);
+  const ShardedRunRecord generated = run_streaming_sharded(
+      generated_source, "dlru-edf", 16, 2, params.horizon, options);
 
-  options.use_native_sources = false;
-  FlashCrowdSource fabric_source(reshard_crowd_params());
-  const ShardedRunRecord fabric = run_streaming_sharded(
-      fabric_source, "dlru-edf", 16, 2, kInfiniteHorizon, options);
-  EXPECT_FALSE(fabric.native_sources);
-  EXPECT_GT(fabric.splitter_chunks_produced, 0);
+  FlashCrowdSource to_materialize(params);
+  const Instance instance = materialize(to_materialize);
+  MaterializedSource materialized_source(instance);
+  const ShardedRunRecord materialized = run_streaming_sharded(
+      materialized_source, "dlru-edf", 16, 2, params.horizon, options);
 
-  EXPECT_FALSE(native.reshard_rounds.empty());  // the spike must migrate
-  EXPECT_EQ(native.reshard_rounds, fabric.reshard_rounds);
-  EXPECT_EQ(native.reshard_moved_colors, fabric.reshard_moved_colors);
-  EXPECT_EQ(native.plan.shard_of_color, fabric.plan.shard_of_color);
-  EXPECT_EQ(reproducible(native.merged), reproducible(fabric.merged));
-  ASSERT_EQ(native.shards.size(), fabric.shards.size());
-  for (std::size_t s = 0; s < native.shards.size(); ++s) {
-    EXPECT_EQ(reproducible(native.shards[s]), reproducible(fabric.shards[s]))
+  EXPECT_FALSE(generated.reshard_rounds.empty());  // the spike must migrate
+  EXPECT_EQ(generated.reshard_rounds, materialized.reshard_rounds);
+  EXPECT_EQ(generated.reshard_moved_colors,
+            materialized.reshard_moved_colors);
+  EXPECT_EQ(generated.plan.shard_of_color, materialized.plan.shard_of_color);
+  EXPECT_EQ(generated.plan.shard_resources,
+            materialized.plan.shard_resources);
+  EXPECT_EQ(reproducible(generated.merged), reproducible(materialized.merged));
+  ASSERT_EQ(generated.shards.size(), materialized.shards.size());
+  for (std::size_t s = 0; s < generated.shards.size(); ++s) {
+    EXPECT_EQ(reproducible(generated.shards[s]),
+              reproducible(materialized.shards[s]))
         << "shard " << s;
   }
-  EXPECT_EQ(native.merged.executed + native.merged.cost.drops,
-            native.merged.arrived);
+  EXPECT_EQ(generated.merged.executed + generated.merged.cost.drops,
+            generated.merged.arrived);
 }
 
 TEST(ReshardTest, AdaptiveRunIsDeterministic) {
@@ -358,8 +355,6 @@ TEST(ReshardTest, MergedObserverCoversEveryEra) {
   EXPECT_EQ(merged.final_snapshot.arrived, record.merged.arrived);
   EXPECT_EQ(merged.final_snapshot.drop_weight, record.merged.cost.drops);
   EXPECT_EQ(merged.final_snapshot.pending, 0);  // drained run: nothing left
-  EXPECT_EQ(merged.final_snapshot.fabric_chunks_produced,
-            record.splitter_chunks_produced);
   std::size_t reshard_events = 0;
   for (const TraceEvent& event : merged.trace.events()) {
     if (event.kind == TraceKind::kReshard) ++reshard_events;

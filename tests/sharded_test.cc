@@ -2,9 +2,10 @@
 //
 // Three layers are covered.  ShardPlan: the partition covers every color
 // exactly once, resources split proportionally in replication units, and
-// plans are deterministic.  ShardedSource: the union of the per-shard
-// streams is exactly the underlying stream (ids preserved, colors
-// relabeled densely per shard).  run_streaming_sharded: with K = 1 the
+// plans are deterministic.  Per-color views: the union of the per-shard
+// views is exactly the underlying stream (colors relabeled densely per
+// shard; a materialized view keeps the Instance's job ids).
+// run_streaming_sharded: with K = 1 the
 // merged record is bit-identical to run_streaming for every engine
 // algorithm x workload family x seed, and fixed (seed, K > 1) runs are
 // deterministic across repetitions with exactly additive costs.
@@ -24,7 +25,6 @@
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
 #include "workload/random_batched.h"
-#include "workload/sharded_source.h"
 
 namespace rrs {
 namespace {
@@ -164,23 +164,23 @@ TEST(ShardPlanTest, ObservedWeightsCountArrivalsPlusOne) {
   EXPECT_EQ(weights, expected);
 }
 
-// --- ShardedSource ---------------------------------------------------------
+// --- Per-color views --------------------------------------------------------
 
-TEST(ShardedSourceTest, ShardStreamsPartitionTheUnderlyingStream) {
-  const Round rounds = 128;
-  const auto underlying = make_source("poisson", 9);
-  const ShardPlan plan =
-      make_shard_plan(underlying->num_colors(), 3, 8, 2);
-
-  // Reference pull: job ids per (round, shard), in order.
-  const auto reference = make_source("poisson", 9);
+/// Pulls `rounds` rounds from `full` and from the per-shard views of `plan`,
+/// checking that view s serves exactly the full stream's jobs of shard s's
+/// colors, relabeled to local ids, in the same order.  Job ids are compared
+/// only when `same_ids` (generator views number their own emissions
+/// densely, starting at 0).
+void expect_views_partition(ArrivalSource& full, const ArrivalSource& parent,
+                            const ShardPlan& plan, Round rounds,
+                            bool same_ids) {
   std::vector<std::vector<std::vector<Job>>> expected(
       static_cast<std::size_t>(plan.num_shards));
   for (auto& per_round : expected) {
     per_round.resize(static_cast<std::size_t>(rounds));
   }
   for (Round k = 0; k < rounds; ++k) {
-    for (const Job& job : reference->arrivals_in_round(k)) {
+    for (const Job& job : full.arrivals_in_round(k)) {
       const auto s =
           static_cast<std::size_t>(
               plan.shard_of_color[static_cast<std::size_t>(job.color)]);
@@ -188,49 +188,58 @@ TEST(ShardedSourceTest, ShardStreamsPartitionTheUnderlyingStream) {
     }
   }
 
-  // Split pull, serially (backpressure off so one thread can walk shard 0
-  // to the end before shard 1 starts).
-  ShardedSourceOptions options;
-  options.chunk_rounds = 16;
-  options.backpressure = false;
-  ShardedSource sharded(*underlying, plan, rounds, options);
+  // Views pull independently, so one thread may walk shard 0 to the end
+  // before shard 1 starts.
   for (int s = 0; s < plan.num_shards; ++s) {
-    ArrivalSource& stream = sharded.stream(s);
-    EXPECT_EQ(stream.horizon(), rounds);
-    EXPECT_EQ(stream.num_colors(),
-              static_cast<ColorId>(
-                  plan.shard_colors[static_cast<std::size_t>(s)].size()));
+    const std::vector<ColorId>& colors =
+        plan.shard_colors[static_cast<std::size_t>(s)];
+    const std::unique_ptr<ArrivalSource> view = parent.view(colors);
+    ASSERT_NE(view, nullptr);
+    EXPECT_EQ(view->horizon(), parent.horizon());
+    EXPECT_EQ(view->num_colors(), static_cast<ColorId>(colors.size()));
+    EXPECT_EQ(view->materialized(), nullptr);
+    JobId next_local_id = 0;
     for (Round k = 0; k < rounds; ++k) {
-      const std::span<const Job> got = stream.arrivals_in_round(k);
+      const std::span<const Job> got = view->arrivals_in_round(k);
       const auto& want =
           expected[static_cast<std::size_t>(s)][static_cast<std::size_t>(k)];
       ASSERT_EQ(got.size(), want.size()) << "shard " << s << " round " << k;
       for (std::size_t i = 0; i < want.size(); ++i) {
-        // Global ids, arrival, and the per-color metadata survive the
-        // split; the color is relabeled to the shard-local id.
-        EXPECT_EQ(got[i].id, want[i].id);
+        // Arrival and the per-color metadata survive the restriction; the
+        // color is relabeled to the shard-local id.
+        EXPECT_EQ(got[i].id, same_ids ? want[i].id : next_local_id++);
         EXPECT_EQ(got[i].arrival, want[i].arrival);
         EXPECT_EQ(got[i].delay_bound, want[i].delay_bound);
         EXPECT_EQ(got[i].drop_cost, want[i].drop_cost);
+        EXPECT_EQ(got[i].length, want[i].length);
         const ColorId global =
-            plan.shard_colors[static_cast<std::size_t>(s)]
-                            [static_cast<std::size_t>(got[i].color)];
+            colors[static_cast<std::size_t>(got[i].color)];
         EXPECT_EQ(global, want[i].color);
-        EXPECT_EQ(stream.delay_bound(got[i].color), want[i].delay_bound);
-        EXPECT_EQ(stream.drop_cost(got[i].color), want[i].drop_cost);
+        EXPECT_EQ(view->delay_bound(got[i].color), want[i].delay_bound);
+        EXPECT_EQ(view->drop_cost(got[i].color), want[i].drop_cost);
       }
     }
   }
 }
 
-TEST(ShardedSourceTest, SequentialPullEnforcedPerShard) {
-  const auto underlying = make_source("poisson", 4);
-  const ShardPlan plan = make_shard_plan(underlying->num_colors(), 2, 8, 2);
-  ShardedSourceOptions options;
-  options.backpressure = false;
-  ShardedSource sharded(*underlying, plan, 64, options);
-  (void)sharded.stream(0).arrivals_in_round(0);
-  EXPECT_THROW((void)sharded.stream(0).arrivals_in_round(5), InputError);
+TEST(ShardViewTest, ViewsPartitionTheUnderlyingStream) {
+  const Round rounds = 128;
+  {
+    SCOPED_TRACE("generator");
+    const auto parent = make_source("poisson", 9);
+    const ShardPlan plan = make_shard_plan(parent->num_colors(), 3, 8, 2);
+    const auto full = make_source("poisson", 9);
+    expect_views_partition(*full, *parent, plan, rounds, /*same_ids=*/false);
+  }
+  {
+    SCOPED_TRACE("materialized");
+    const auto generated = make_source("poisson", 9);
+    const Instance instance = materialize(*generated, rounds);
+    MaterializedSource parent(instance);
+    const ShardPlan plan = make_shard_plan(parent.num_colors(), 3, 8, 2);
+    MaterializedSource full(instance);
+    expect_views_partition(full, parent, plan, rounds, /*same_ids=*/true);
+  }
 }
 
 // --- run_streaming_sharded -------------------------------------------------
@@ -480,17 +489,14 @@ TEST(ShardedRunTest, SnapshotMergeIsAdditiveAndOrderIndependent) {
   // Each shard's snapshot equals the K=1 run of the same relabeled
   // sub-workload (the partition makes shards fully independent).
   const auto resplit_source = make_source("poisson", 21);
-  ShardedSourceOptions split_options;
-  split_options.backpressure = false;
-  ShardedSource resplit(*resplit_source, record.plan, arrival_end,
-                        split_options);
   for (int s = 0; s < kShards; ++s) {
     Observer solo;
-    ArrivalSource& stream = resplit.stream(s);
+    const std::unique_ptr<ArrivalSource> view = resplit_source->view(
+        record.plan.shard_colors[static_cast<std::size_t>(s)]);
     (void)run_streaming(
-        stream, "dlru-edf",
+        *view, "dlru-edf",
         record.plan.shard_resources[static_cast<std::size_t>(s)],
-        kInfiniteHorizon, nullptr, false, &solo);
+        arrival_end, nullptr, false, &solo);
     EXPECT_EQ(solo.final_snapshot,
               shard_store[static_cast<std::size_t>(s)].final_snapshot)
         << "shard " << s;

@@ -9,11 +9,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/shard_plan.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
-#include "workload/poisson.h"
-#include "workload/sharded_source.h"
 
 namespace rrs {
 namespace {
@@ -118,75 +115,6 @@ TEST(ThreadPoolTest, NestedFreeParallelForCompletes) {
     parallel_for(4, [&total](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 16);
-}
-
-// The sharded splitter's blocking behavior lives next to the pool tests
-// because both underpin the multi-threaded sharded runner.
-
-TEST(ShardedSourceBackoff, SlowConsumerDoesNotLivelockTheFastOne) {
-  // A consumer that keeps sleeping must not wedge its peer: the soft
-  // backpressure gives up after bounded backoff waits and produces anyway,
-  // so both streams always finish with the full job count.
-  const Round rounds = 512;
-  PoissonParams params;
-  params.horizon = rounds;
-  params.seed = 3;
-  PoissonSource source(params);
-  const ShardPlan plan = make_shard_plan(source.num_colors(), 2, 8, 2);
-
-  std::int64_t expected = 0;
-  {
-    PoissonSource reference(params);
-    for (Round k = 0; k < rounds; ++k) {
-      expected += static_cast<std::int64_t>(
-          reference.arrivals_in_round(k).size());
-    }
-  }
-
-  ShardedSourceOptions options;
-  options.chunk_rounds = 8;
-  options.max_buffered_chunks = 2;  // tiny: backpressure engages constantly
-  options.backpressure = true;
-  ShardedSource sharded(source, plan, rounds, options);
-  std::int64_t counts[2] = {0, 0};
-  std::vector<std::thread> consumers;
-  for (int s = 0; s < 2; ++s) {
-    consumers.emplace_back([&sharded, &counts, s, rounds] {
-      ArrivalSource& stream = sharded.stream(s);
-      for (Round k = 0; k < rounds; ++k) {
-        counts[s] +=
-            static_cast<std::int64_t>(stream.arrivals_in_round(k).size());
-        if (s == 1 && k % 64 == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      }
-    });
-  }
-  for (std::thread& t : consumers) t.join();
-  EXPECT_EQ(counts[0] + counts[1], expected);
-}
-
-TEST(ShardedSourceBackoff, StallWatchdogAbortsWithDiagnostic) {
-  // One consumer walks its stream to the end while the other never pulls:
-  // with backpressure on and a tiny stall limit, the watchdog must turn
-  // the dead peer into a loud InvariantError instead of unbounded memory.
-  PoissonParams params;
-  params.horizon = 512;
-  params.seed = 4;
-  PoissonSource source(params);
-  const ShardPlan plan = make_shard_plan(source.num_colors(), 2, 8, 2);
-  ShardedSourceOptions options;
-  options.chunk_rounds = 4;
-  options.max_buffered_chunks = 1;
-  options.backpressure = true;
-  options.stall_chunk_limit = 2;
-  ShardedSource sharded(source, plan, 512, options);
-  ArrivalSource& stream = sharded.stream(0);
-  EXPECT_THROW(
-      {
-        for (Round k = 0; k < 512; ++k) (void)stream.arrivals_in_round(k);
-      },
-      InvariantError);
 }
 
 }  // namespace
