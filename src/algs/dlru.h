@@ -27,8 +27,9 @@ class DLruPolicy : public Policy {
                           std::span<const ColorId> evicted) override;
 
   /// dLRU's target set is a pure function of tracker state, which is
-  /// provably frozen across an event-free span, so the engine may skip
-  /// such spans wholesale.
+  /// frozen across an event-free span, and a call leaves the cache equal
+  /// to it, so a repeated decision changes nothing and the engine may
+  /// skip such spans wholesale.
   [[nodiscard]] bool supports_fast_forward() const override { return true; }
 
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()

@@ -48,9 +48,10 @@ class DLruEdfPolicy : public Policy {
     return 2 * replication;
   }
 
-  /// Both halves are pure functions of tracker/pending/cache state, all
-  /// of which are provably frozen across an event-free span, so the
-  /// engine may skip such spans wholesale.
+  /// Both halves are pure functions of tracker/pending/cache state, and
+  /// a call leaves both targets cached (evictions only take colors ranked
+  /// below the EDF half's top), so a repeated decision on unchanged inputs
+  /// changes nothing and the engine may skip event-free spans wholesale.
   [[nodiscard]] bool supports_fast_forward() const override { return true; }
 
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()

@@ -33,9 +33,10 @@ class EdfPolicy : public Policy {
   void on_capacity_change(Round round, int up, int total,
                           std::span<const ColorId> evicted) override;
 
-  /// EDF is a pure function of tracker/pending/cache state, all of which
-  /// are provably frozen across an event-free span, so the engine may
-  /// skip such spans wholesale.
+  /// EDF is a pure function of tracker/pending/cache state, and a call
+  /// leaves every nonidle top-ranked color cached, so a repeated decision
+  /// on unchanged inputs changes nothing and the engine may skip
+  /// event-free spans wholesale.
   [[nodiscard]] bool supports_fast_forward() const override { return true; }
 
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()

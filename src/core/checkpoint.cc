@@ -45,6 +45,13 @@ void put_u64(std::vector<unsigned char>& buf, std::uint64_t v) {
   }
 }
 
+/// Writes the low `width` bytes of `v` at `p`, little-endian.
+void store_le(unsigned char* p, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFU);
+  }
+}
+
 std::uint32_t get_u32(const unsigned char* p) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
@@ -112,12 +119,14 @@ void CheckpointWriter::str(std::string_view v) {
 void CheckpointWriter::finish(std::ostream& out) {
   RRS_CHECK_MSG(open_.empty(), "finish with " << open_.size()
                                               << " unclosed sections");
-  std::vector<unsigned char> head;
-  head.insert(head.end(), kMagic, kMagic + 8);
-  put_u32(head, kCheckpointMajor);
-  put_u32(head, kCheckpointMinor);
-  put_u64(head, buf_.size());
-  put_u32(head, crc32(buf_.data(), buf_.size()));
+  // Fixed-size header, the layout CheckpointReader parses: magic[8],
+  // major u32, minor u32, payload length u64, payload crc u32.
+  std::array<unsigned char, 28> head{};
+  std::memcpy(head.data(), kMagic, 8);
+  store_le(head.data() + 8, kCheckpointMajor, 4);
+  store_le(head.data() + 12, kCheckpointMinor, 4);
+  store_le(head.data() + 16, buf_.size(), 8);
+  store_le(head.data() + 24, crc32(buf_.data(), buf_.size()), 4);
   out.write(reinterpret_cast<const char*>(head.data()),
             static_cast<std::streamsize>(head.size()));
   out.write(reinterpret_cast<const char*>(buf_.data()),

@@ -471,8 +471,14 @@ void Engine::run_rounds(ArrivalSource& source, Round until) {
               "segment end " << until << " outside [" << k_ << ", "
                              << arrival_end_ << "]");
   while (k_ < until) {
+    const std::int64_t units_before = result_.work_units;
     run_round(&source);
-    if (ff_eligible_ && k_ < until && pending_.total() == 0) {
+    // A round that applied no work unit left the pending set exactly as
+    // the policy last saw it, and an empty pending set leaves the policy
+    // nothing to bring in; either way an event-free next round repeats a
+    // decision that changes nothing (Policy::supports_fast_forward).
+    if (ff_eligible_ && k_ < until &&
+        (result_.work_units == units_before || pending_.total() == 0)) {
       fast_forward(source, until);
     }
   }
@@ -500,6 +506,10 @@ Round Engine::next_stop_round(Round until) const {
   }
   const Round pe = policy_->next_policy_event(k_);
   if (pe != kInfiniteHorizon) stop = std::min(stop, std::max(pe, k_));
+  // Pending expiries: a drop phase that can expire a job must run.  The
+  // calendar hint may be early (a stale hint costs one no-op round), and
+  // it scans no further than the stops above allow.
+  if (stop > k_) stop = pending_.next_expiry_hint(stop);
   return stop;
 }
 

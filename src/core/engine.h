@@ -75,11 +75,15 @@ struct EngineOptions {
   /// Observer::trace_dump_out (default stderr) if the run dies on an
   /// InvariantError.
   Observer* observer = nullptr;
-  /// Sparse-round fast-forward: when the pending set is empty and the
-  /// policy declares supports_fast_forward(), run_rounds() jumps over
-  /// spans with no arrivals (per the source's next_event_round() hint),
-  /// no deadline-block boundary of any delay class, no fault event, no
-  /// snapshot round, and no policy event.  Every skipped round is a
+  /// Sparse-round fast-forward: when the policy declares
+  /// supports_fast_forward() and the round just run applied no work unit
+  /// (or left the pending set empty), run_rounds() jumps over the
+  /// following span with no arrivals (per the source's next_event_round()
+  /// hint), no pending expiry, no deadline-block boundary of any delay
+  /// class, no fault event, no snapshot round, and no policy event.  Jobs
+  /// may stay pending across the span — an uncached, ineligible color's
+  /// jobs wait for their deadline — because the policy would repeat the
+  /// decision it just made on the same inputs.  Every skipped round is a
   /// provable no-op, so results — costs, schedules, stats, snapshots —
   /// are bit-identical with the flag off; disable only to measure the
   /// skip itself.
@@ -230,13 +234,16 @@ class Engine {
 
   /// Latest round <= `until` that fast-forward may jump to from k_
   /// without crossing a deadline-block boundary, fault event, snapshot
-  /// round, or policy event (k_ itself when it sits on one).
+  /// round, policy event, or pending expiry (k_ itself when it sits on
+  /// one).
   [[nodiscard]] Round next_stop_round(Round until) const;
 
-  /// With an empty pending set, jumps k_ to the next round in
-  /// (k_, until] that any party — source, delay classes, faults,
-  /// snapshots, policy — can observe, charging degraded-round accounting
-  /// for the skipped span.  No-op when the next event is k_ itself.
+  /// After a round whose successor would be a no-op (see
+  /// EngineOptions::fast_forward), jumps k_ to the next round in
+  /// (k_, until] that any party — source, pending expiries, delay
+  /// classes, faults, snapshots, policy — can observe, charging
+  /// degraded-round accounting for the skipped span.  No-op when the next
+  /// event is k_ itself.
   void fast_forward(ArrivalSource& source, Round until);
 
   EngineOptions options_;

@@ -227,4 +227,17 @@ void PendingJobs::drop_expired(Round round, DropResult& out) {
   cursor_ = round;
 }
 
+Round PendingJobs::next_expiry_hint(Round limit) const {
+  if (total_ == 0 || ring_.empty()) return limit;
+  // Every pending job's deadline is hinted in the bucket of
+  // max(deadline, cursor_ + 1), so one ring cycle past the cursor holds
+  // them all.
+  const Round last =
+      std::min(limit, cursor_ + static_cast<Round>(ring_.size()));
+  for (Round r = cursor_ + 1; r <= last; ++r) {
+    if (!ring_[static_cast<std::size_t>(r) & ring_mask_].empty()) return r;
+  }
+  return limit;
+}
+
 }  // namespace rrs

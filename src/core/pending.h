@@ -172,6 +172,13 @@ class PendingJobs {
   /// no-op.
   void drop_expired(Round round, DropResult& out);
 
+  /// Lower bound on the next round whose drop phase can expire a job: the
+  /// first round in (last swept, limit] whose calendar bucket holds a
+  /// hint, or `limit` when none does or nothing is pending.  A stale hint
+  /// (its jobs already executed) or one of a later ring cycle makes the
+  /// bound early, never late.  Costs one bucket check per round scanned.
+  [[nodiscard]] Round next_expiry_hint(Round limit) const;
+
   // --- shard migration (engine export/import surface) ---
 
   /// One exported pending job: identity, absolute deadline, remaining

@@ -170,15 +170,23 @@ class Policy {
     return replication;
   }
 
-  /// True iff skipping a span of event-free rounds (no arrivals, no
-  /// pending jobs, no deadline-block boundary of any delay class, no
-  /// capacity churn, no snapshot round, no round from next_policy_event())
-  /// cannot change this policy's decisions or counters: across such a
-  /// span every on_round() call is a provable no-op (the tracker phases
-  /// see empty inputs off block boundaries and the cache already equals
-  /// the recomputed target).  Policies with per-round state that moves
-  /// unconditionally must leave this false (the default), which disables
-  /// Engine fast-forward for them.
+  /// True iff this policy's decision is idempotent on frozen inputs, so
+  /// the engine may skip event-free rounds.  An event-free round has no
+  /// arrivals, no drops, no deadline-block boundary of any delay class, no
+  /// capacity churn, no snapshot, and is no round from
+  /// next_policy_event(); its tracker phases see empty inputs off block
+  /// boundaries.  The engine skips such rounds only after a round whose
+  /// work left the policy's inputs as it decided on them:
+  ///   * the round applied no work unit, so the pending set, tracker
+  ///     state and cache are exactly what the last on_round() call saw
+  ///     and produced — calling it again on them must mutate nothing and
+  ///     move no counter; or
+  ///   * the round left the pending set empty, so there is no nonidle
+  ///     color to bring in — a call must then leave the cache as it is.
+  /// Jobs may stay pending across a skipped span (an ineligible color's
+  /// jobs wait uncached until they expire).  Policies with per-round state
+  /// that moves unconditionally must leave this false (the default),
+  /// which disables Engine fast-forward for them.
   [[nodiscard]] virtual bool supports_fast_forward() const { return false; }
 
   /// Earliest round >= the current one at which the policy itself has a

@@ -76,20 +76,10 @@ class Rng {
   /// Bernoulli draw with success probability p.
   [[nodiscard]] bool bernoulli(double p) { return uniform01() < p; }
 
-  /// Geometric-ish Poisson sampler (Knuth's algorithm), adequate for the
-  /// small means (< 64) used by workload generators.
-  [[nodiscard]] std::int64_t poisson(double mean) {
-    RRS_CHECK(mean >= 0.0);
-    if (mean == 0.0) return 0;
-    double threshold = 1.0;
-    const double bound = std::exp(-mean);
-    std::int64_t count = -1;
-    do {
-      ++count;
-      threshold *= uniform01();
-    } while (threshold > bound);
-    return count;
-  }
+  /// Poisson draw with mean `mean`: PoissonSampler(mean).draw(*this).
+  /// Generators that draw one mean every round keep the sampler instead,
+  /// which computes exp(-mean) once.
+  [[nodiscard]] std::int64_t poisson(double mean);
 
   /// The full generator state, for checkpointing.  Restoring the exact
   /// words resumes the output sequence bit-identically.
@@ -108,5 +98,38 @@ class Rng {
 
   std::uint64_t state_[4]{};
 };
+
+/// Knuth's Poisson sampler for one fixed mean, adequate for the small
+/// means (< 64) used by workload generators.  The acceptance bound
+/// exp(-mean) is computed once at construction, so a draw costs one
+/// uniform01() per unit of the result plus one.  Mean 0 draws nothing;
+/// any other mean consumes at least one uniform01(), even one whose bound
+/// rounds to 1.0.
+class PoissonSampler {
+ public:
+  explicit PoissonSampler(double mean = 0.0)
+      : mean_(mean), bound_(std::exp(-mean)) {
+    RRS_CHECK(mean >= 0.0);
+  }
+
+  [[nodiscard]] std::int64_t draw(Rng& rng) const {
+    if (mean_ == 0.0) return 0;
+    double threshold = 1.0;
+    std::int64_t count = -1;
+    do {
+      ++count;
+      threshold *= rng.uniform01();
+    } while (threshold > bound_);
+    return count;
+  }
+
+ private:
+  double mean_;
+  double bound_;
+};
+
+inline std::int64_t Rng::poisson(double mean) {
+  return PoissonSampler(mean).draw(*this);
+}
 
 }  // namespace rrs

@@ -51,8 +51,11 @@ DatacenterSource::DatacenterSource(const DatacenterParams& params)
   state_.reserve(services_.size());
   for (std::size_t c = 0; c < services_.size(); ++c) {
     const ServiceSpec& s = services_[c];
+    RRS_REQUIRE(s.hot_rate >= 0.0 && s.cold_rate >= 0.0,
+                "service " << c << " arrival rates must be >= 0");
     add_color(s.delay_bound, s.drop_cost);
-    ServiceState st{derive_rng(params.seed, c), false, 0};
+    ServiceState st{derive_rng(params.seed, c), false, 0,
+                    PoissonSampler(s.hot_rate), PoissonSampler(s.cold_rate)};
     st.hot = st.stream.bernoulli(0.5);
     st.phase_left = geometric(st.stream, st.hot ? s.mean_hot_length
                                                 : s.mean_cold_length);
@@ -74,8 +77,8 @@ void DatacenterSource::synthesize_color(ColorId color, Round k) {
                                                 : s.mean_cold_length);
   }
   --st.phase_left;
-  const double rate = st.hot ? s.hot_rate : s.cold_rate;
-  const std::int64_t count = st.stream.poisson(rate);
+  const PoissonSampler& arrivals = st.hot ? st.hot_arrivals : st.cold_arrivals;
+  const std::int64_t count = arrivals.draw(st.stream);
   if (count > 0) emit(color, k, count);
 }
 

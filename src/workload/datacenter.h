@@ -58,13 +58,17 @@ class DatacenterSource final : public GeneratorSource {
     Rng stream;          // the service's private RNG stream
     bool hot = false;
     Round phase_left = 0;
+    // Per-round arrival counts in each phase, from the service's rates.
+    PoissonSampler hot_arrivals;
+    PoissonSampler cold_arrivals;
   };
 
   void synthesize_color(ColorId color, Round k) override;
   [[nodiscard]] static Round geometric(Rng& rng, Round mean);
 
   /// Mutable generation state: each service's RNG stream plus its on/off
-  /// phase machine (hot flag, rounds left in the phase).
+  /// phase machine (hot flag, rounds left in the phase).  The samplers are
+  /// fixed by the service specs and rebuilt by the constructor.
   void checkpoint_extra(CheckpointWriter& w) const override {
     w.u64(state_.size());
     for (const ServiceState& s : state_) {

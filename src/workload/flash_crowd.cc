@@ -9,12 +9,17 @@ FlashCrowdSource::FlashCrowdSource(const FlashCrowdParams& params)
     : GeneratorSource(params.delta, params.horizon), params_(params) {
   RRS_REQUIRE(params.background_colors >= 0, "negative color count");
   RRS_REQUIRE(params.spike_factor >= 1.0, "spike_factor must be >= 1");
+  RRS_REQUIRE(params.background_rate >= 0.0 && params.base_rate >= 0.0,
+              "arrival rates must be >= 0");
   RRS_REQUIRE(0 <= params.spike_start &&
                   params.spike_start <= params.spike_end &&
                   (params.horizon == kInfiniteHorizon ||
                    params.spike_end <= params.horizon),
               "need 0 <= spike_start <= spike_end <= horizon");
 
+  background_ = PoissonSampler(params.background_rate);
+  base_ = PoissonSampler(params.base_rate);
+  spike_ = PoissonSampler(params.base_rate * params.spike_factor);
   spike_color_ = add_color(params.spike_delay);
   streams_.push_back(derive_rng(params.seed, 0));
   for (int c = 0; c < params.background_colors; ++c) {
@@ -31,13 +36,13 @@ std::unique_ptr<GeneratorSource> FlashCrowdSource::clone() const {
 void FlashCrowdSource::synthesize_color(ColorId color, Round k) {
   // The per-color rate is a pure function of (color, k), so a view that
   // only ever draws this color replays exactly the full stream's draws.
-  double rate = params_.background_rate;
+  const PoissonSampler* arrivals = &background_;
   if (color == spike_color_) {
     const bool in_spike = k >= params_.spike_start && k < params_.spike_end;
-    rate = params_.base_rate * (in_spike ? params_.spike_factor : 1.0);
+    arrivals = in_spike ? &spike_ : &base_;
   }
   const std::int64_t count =
-      streams_[static_cast<std::size_t>(color)].poisson(rate);
+      arrivals->draw(streams_[static_cast<std::size_t>(color)]);
   if (count > 0) emit(color, k, count);
 }
 

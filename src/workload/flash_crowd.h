@@ -64,6 +64,11 @@ class FlashCrowdSource final : public GeneratorSource {
   std::vector<Rng> streams_;  // one RNG stream per color
   FlashCrowdParams params_;
   ColorId spike_color_ = 0;
+  // Per-color-round arrival counts: background colors, and the spike
+  // color outside and inside its spike.
+  PoissonSampler background_;
+  PoissonSampler base_;
+  PoissonSampler spike_;
 };
 
 /// The generated instance plus the spiking color.

@@ -1,11 +1,29 @@
 // Shared helpers for the RRS test suite.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <unordered_set>
 
 #include "core/instance.h"
+#include "util/rng.h"
 
 namespace rrs::testing {
+
+/// Knuth's Poisson draw with exp(-mean) evaluated on every call, as the
+/// generators drew before they kept one PoissonSampler per rate: the
+/// reference twin that pins PoissonSampler draw for draw.
+[[nodiscard]] inline std::int64_t knuth_poisson(Rng& rng, double mean) {
+  if (mean == 0.0) return 0;
+  double threshold = 1.0;
+  const double bound = std::exp(-mean);
+  std::int64_t count = -1;
+  do {
+    ++count;
+    threshold *= rng.uniform01();
+  } while (threshold > bound);
+  return count;
+}
 
 /// Rebuilds `instance` without the jobs in `removed_ids` (same colors,
 /// same Delta, same horizon) — the "subsequence" operation the Section 3

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "test_util.h"
 #include "util/bits.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -123,6 +124,36 @@ TEST(Rng, PoissonMeanRoughlyCorrect) {
 TEST(Rng, PoissonZeroMean) {
   Rng rng(1);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.poisson(0.0), 0);
+}
+
+TEST(Rng, PoissonSamplerMatchesPerCallDrawForDraw) {
+  // A sampler built once per rate returns what the per-call draw returns
+  // and leaves the generator in the same state, for every mean: 0 draws
+  // nothing, and 1e-17 (exp(-mean) rounds to 1.0) still consumes one
+  // uniform and yields 0.
+  for (const double mean : {0.0, 1e-17, 0.0005, 0.3, 1.2, 40.0}) {
+    const PoissonSampler sampler(mean);
+    Rng cached(77);
+    Rng per_call(77);
+    Rng reference(77);
+    for (int i = 0; i < 2000; ++i) {
+      const std::int64_t want = testing::knuth_poisson(reference, mean);
+      ASSERT_EQ(sampler.draw(cached), want) << "mean " << mean << " #" << i;
+      ASSERT_EQ(per_call.poisson(mean), want) << "mean " << mean;
+      ASSERT_EQ(cached.state_words(), reference.state_words()) << mean;
+      ASSERT_EQ(per_call.state_words(), reference.state_words()) << mean;
+    }
+  }
+
+  Rng rng(5);
+  const auto start = rng.state_words();
+  EXPECT_EQ(PoissonSampler(0.0).draw(rng), 0);
+  EXPECT_EQ(rng.state_words(), start) << "mean 0 must draw nothing";
+  EXPECT_EQ(PoissonSampler(1e-17).draw(rng), 0);
+  Rng one_draw(5);
+  (void)one_draw();
+  EXPECT_EQ(rng.state_words(), one_draw.state_words())
+      << "a bound of 1.0 still consumes exactly one draw";
 }
 
 TEST(Rng, BernoulliExtremes) {

@@ -6,10 +6,12 @@
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "test_util.h"
 #include "util/check.h"
 #include "workload/adversary_dlru.h"
 #include "workload/adversary_edf.h"
 #include "workload/datacenter.h"
+#include "workload/flash_crowd.h"
 #include "workload/intro_scenario.h"
 #include "workload/poisson.h"
 #include "workload/random_batched.h"
@@ -155,40 +157,37 @@ void expect_round_matches(
   EXPECT_EQ(i, jobs.size()) << "round " << k;
 }
 
-TEST(RandomBatched, DueColorSynthesisMatchesPerColorReference) {
-  // Full stream, a restricted view that is later reassigned, and a
-  // checkpoint/restore in between: every round's ids, colors and batch
-  // sizes equal the per-color reference, so skipping colors that are not
-  // due changes no draw.
-  RandomBatchedParams params;
-  params.num_colors = 12;
-  params.min_scale = 0;  // delay bounds 1 .. 32: every ctz class occurs
-  params.max_scale = 5;
-  params.max_drop_cost = 3;
-  params.horizon = kInfiniteHorizon;
-  params.seed = 11;
-
-  std::vector<ColorId> all(12);
-  for (ColorId c = 0; c < 12; ++c) all[static_cast<std::size_t>(c)] = c;
-  RandomBatchedSource full(params);
-  RandomBatchedReference full_ref(params);
+/// Checks generator `Source` against its per-color `Reference` three
+/// ways: the full stream; a view over `view` that is reassigned to
+/// `reassigned` mid-stream; and that view checkpointed and restored onto
+/// a fresh clone.  Every round's ids, colors and batch sizes must equal
+/// the reference's.
+template <typename Source, typename Reference, typename Params>
+void expect_matches_reference(const Params& params, ColorId num_colors,
+                              std::vector<ColorId> view,
+                              const std::vector<ColorId>& reassigned) {
+  std::vector<ColorId> all(static_cast<std::size_t>(num_colors));
+  for (ColorId c = 0; c < num_colors; ++c) {
+    all[static_cast<std::size_t>(c)] = c;
+  }
+  Source full(params);
+  Reference full_ref(params);
   JobId full_id = 0;
   for (Round k = 0; k < 300; ++k) {
     expect_round_matches(full.arrivals_in_round(k), k, full_ref.round(k), all,
                          full_id);
   }
 
-  std::vector<ColorId> view = {1, 4, 5, 9};
   std::unique_ptr<GeneratorSource> source = full.clone();
   source->restrict_to(view);
-  RandomBatchedReference ref(params);
+  Reference ref(params);
   JobId next_id = 0;
   Round k = 0;
   for (; k < 150; ++k) {
     expect_round_matches(source->arrivals_in_round(k), k, ref.round(k), view,
                          next_id);
   }
-  view = {0, 4, 7, 10, 11};
+  view = reassigned;
   source->reassign(view);
   for (; k < 230; ++k) {
     expect_round_matches(source->arrivals_in_round(k), k, ref.round(k), view,
@@ -211,6 +210,164 @@ TEST(RandomBatched, DueColorSynthesisMatchesPerColorReference) {
     expect_round_matches(resumed->arrivals_in_round(k), k, ref.round(k), view,
                          next_id);
   }
+}
+
+TEST(RandomBatched, DueColorSynthesisMatchesPerColorReference) {
+  // Skipping colors that are not due changes no draw.
+  RandomBatchedParams params;
+  params.num_colors = 12;
+  params.min_scale = 0;  // delay bounds 1 .. 32: every ctz class occurs
+  params.max_scale = 5;
+  params.max_drop_cost = 3;
+  params.horizon = kInfiniteHorizon;
+  params.seed = 11;
+  expect_matches_reference<RandomBatchedSource, RandomBatchedReference>(
+      params, 12, {1, 4, 5, 9}, {0, 4, 7, 10, 11});
+}
+
+/// PoissonSource's draw rule written out per color: every round, every
+/// color draws its arrival count from its own stream with exp(-mean)
+/// evaluated per draw.
+class PoissonReference {
+ public:
+  explicit PoissonReference(const PoissonParams& p) : mean_(p.mean_rate) {
+    for (int c = 0; c < p.num_colors; ++c) {
+      streams_.push_back(derive_rng(p.seed, static_cast<std::uint64_t>(c)));
+    }
+  }
+
+  std::vector<std::pair<ColorId, std::int64_t>> round(Round k) {
+    (void)k;
+    std::vector<std::pair<ColorId, std::int64_t>> batches;
+    for (std::size_t c = 0; c < streams_.size(); ++c) {
+      const std::int64_t count = testing::knuth_poisson(streams_[c], mean_);
+      if (count > 0) batches.emplace_back(static_cast<ColorId>(c), count);
+    }
+    return batches;
+  }
+
+ private:
+  double mean_;
+  std::vector<Rng> streams_;
+};
+
+TEST(Poisson, CachedBoundMatchesPerColorReference) {
+  PoissonParams params;
+  params.num_colors = 12;
+  params.mean_rate = 0.3;
+  params.horizon = kInfiniteHorizon;
+  params.seed = 13;
+  expect_matches_reference<PoissonSource, PoissonReference>(
+      params, 12, {1, 4, 5, 9}, {0, 4, 7, 10, 11});
+}
+
+/// FlashCrowdSource's draw rule written out per color: the spike color 0
+/// draws at base_rate, times spike_factor inside the spike; background
+/// colors draw at background_rate.
+class FlashCrowdReference {
+ public:
+  explicit FlashCrowdReference(const FlashCrowdParams& p) : params_(p) {
+    for (int c = 0; c <= p.background_colors; ++c) {
+      streams_.push_back(derive_rng(p.seed, static_cast<std::uint64_t>(c)));
+    }
+  }
+
+  std::vector<std::pair<ColorId, std::int64_t>> round(Round k) {
+    std::vector<std::pair<ColorId, std::int64_t>> batches;
+    for (std::size_t c = 0; c < streams_.size(); ++c) {
+      double rate = params_.background_rate;
+      if (c == 0) {
+        const bool spike = k >= params_.spike_start && k < params_.spike_end;
+        rate = params_.base_rate * (spike ? params_.spike_factor : 1.0);
+      }
+      const std::int64_t count = testing::knuth_poisson(streams_[c], rate);
+      if (count > 0) batches.emplace_back(static_cast<ColorId>(c), count);
+    }
+    return batches;
+  }
+
+ private:
+  FlashCrowdParams params_;
+  std::vector<Rng> streams_;
+};
+
+TEST(FlashCrowd, CachedBoundsMatchPerColorReference) {
+  FlashCrowdParams params;
+  params.background_colors = 11;
+  params.spike_start = 100;  // the spike spans the view's reassignment
+  params.spike_end = 200;
+  params.horizon = kInfiniteHorizon;
+  params.seed = 17;
+  expect_matches_reference<FlashCrowdSource, FlashCrowdReference>(
+      params, 12, {0, 4, 5, 9}, {0, 3, 7, 10, 11});
+}
+
+/// DatacenterSource's draw rule written out per service: a hot/cold phase
+/// walk with geometric phase lengths, and each round's arrival count drawn
+/// at the current phase's rate, all from the service's own stream.
+class DatacenterReference {
+ public:
+  explicit DatacenterReference(const DatacenterParams& p)
+      : services_(p.services) {
+    for (std::size_t c = 0; c < services_.size(); ++c) {
+      State s{derive_rng(p.seed, c), false, 0};
+      s.hot = s.stream.bernoulli(0.5);
+      s.phase_left = phase_length(s, services_[c]);
+      state_.push_back(s);
+    }
+  }
+
+  std::vector<std::pair<ColorId, std::int64_t>> round(Round k) {
+    (void)k;
+    std::vector<std::pair<ColorId, std::int64_t>> batches;
+    for (std::size_t c = 0; c < services_.size(); ++c) {
+      State& s = state_[c];
+      if (s.phase_left == 0) {
+        s.hot = !s.hot;
+        s.phase_left = phase_length(s, services_[c]);
+      }
+      --s.phase_left;
+      const double rate = s.hot ? services_[c].hot_rate
+                                : services_[c].cold_rate;
+      const std::int64_t count = testing::knuth_poisson(s.stream, rate);
+      if (count > 0) batches.emplace_back(static_cast<ColorId>(c), count);
+    }
+    return batches;
+  }
+
+ private:
+  struct State {
+    Rng stream;
+    bool hot;
+    Round phase_left;
+  };
+
+  static Round phase_length(State& s, const ServiceSpec& spec) {
+    const Round mean = s.hot ? spec.mean_hot_length : spec.mean_cold_length;
+    const double p = 1.0 / static_cast<double>(mean);
+    Round length = 1;
+    while (!s.stream.bernoulli(p)) ++length;
+    return length;
+  }
+
+  std::vector<ServiceSpec> services_;
+  std::vector<State> state_;
+};
+
+TEST(Datacenter, CachedBoundsMatchPerServiceReference) {
+  const std::vector<ServiceSpec> mix = default_service_mix();
+  DatacenterParams params;
+  params.services = mix;
+  params.services.insert(params.services.end(), mix.begin(), mix.begin() + 4);
+  for (ServiceSpec& s : params.services) {
+    // Short phases, so hot and cold stretches alternate within the test.
+    s.mean_hot_length = 24;
+    s.mean_cold_length = 40;
+  }
+  params.horizon = kInfiniteHorizon;
+  params.seed = 19;
+  expect_matches_reference<DatacenterSource, DatacenterReference>(
+      params, 12, {1, 4, 5, 9}, {0, 4, 7, 10, 11});
 }
 
 TEST(Poisson, UnbatchedWithRequestedDelays) {
