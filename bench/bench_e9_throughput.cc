@@ -31,7 +31,6 @@
 #include "obs/observer.h"
 #include "offline/optimal.h"
 #include "sim/runner.h"
-#include "sim/sweep.h"
 #include "util/thread_pool.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
@@ -361,7 +360,9 @@ bool run_streaming_section() {
     GeneralizedBatchedSource source(kInfiniteHorizon, 99);
     return run_streaming(source, "dlru-edf", 8, rounds);
   });
-  const std::vector<StreamRunRecord> records = run_streaming_sweep(cells);
+  // One lazy stream per pool worker: each cell owns its own source.
+  std::vector<StreamRunRecord> records(cells.size());
+  parallel_for(cells.size(), [&](std::size_t i) { records[i] = cells[i](); });
   std::vector<StreamingCell> named;
   named.push_back({"random-batched", records[0], rounds, 0, {}});
   named.push_back({"poisson", records[1], rounds, 0, {}});

@@ -8,7 +8,6 @@
 // artifact and as the LRU half reused by dLRU-EDF.
 #pragma once
 
-#include "algs/ranked_cache.h"
 #include "core/color_state.h"
 #include "core/policy.h"
 #include "util/stamped_map.h"

@@ -17,7 +17,6 @@ void DLruEdfPolicy::begin(const ArrivalSource& source, int num_resources,
               "dLRU-EDF needs n divisible by 4 (n/4 LRU colors + n/4 EDF "
               "colors, each in 2 locations); got n="
                   << num_resources);
-  tracker_.enable_rank_index();
   tracker_.begin(source);
   observed_epochs_ = 0;
   const auto colors = static_cast<std::size_t>(source.num_colors());

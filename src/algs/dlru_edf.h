@@ -14,7 +14,6 @@
 // [Delta | 1 | D_l | D_l] with power-of-two delay bounds when n = 8m.
 #pragma once
 
-#include "algs/ranked_cache.h"
 #include "core/color_state.h"
 #include "core/policy.h"
 #include "util/stamped_map.h"

@@ -12,7 +12,6 @@ void EdfPolicy::begin(const ArrivalSource& source, int num_resources,
                       int speed) {
   (void)num_resources;
   (void)speed;
-  tracker_.enable_rank_index();
   tracker_.begin(source);
   rank_pos_.ensure_size(static_cast<std::size_t>(source.num_colors()));
   observed_epochs_ = 0;

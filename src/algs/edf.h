@@ -13,7 +13,6 @@
 // speed 2.
 #pragma once
 
-#include "algs/ranked_cache.h"
 #include "core/color_state.h"
 #include "core/policy.h"
 #include "util/stamped_map.h"

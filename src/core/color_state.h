@@ -107,32 +107,26 @@ class EligibilityTracker {
   //     lies in (now, now + max D_l], so buckets are collision-free the
   //     same way PendingJobs' expiry calendar is).  Buckets keep their
   //     members sorted by a precomputed static tiebreak rank — exactly the
-  //     EdfKey order after the idle and deadline fields — re-sorting
+  //     EDF rank order after the idle and deadline fields — re-sorting
   //     lazily at the next scan after a mutation.  The ordered scan walks
   //     buckets in rotated (deadline-ascending) order via a nonempty-bucket
   //     bitmap and partitions live colors into nonidle-then-idle, which
-  //     reproduces the EdfKey sort exactly.
+  //     reproduces the EDF rank order exactly.
   //   * dLRU: eligible colors live in an intrusive doubly-linked recency
   //     list ordered by (effective timestamp desc, color asc).  Effective
   //     timestamps change only at counter wraps and own-block boundaries,
   //     both of which pass through arrival_phase, so repositions are
   //     charged to churn.
 
-  /// Opts into the incremental rank index.  Call before begin() (begin()
-  /// builds the structures); sticky across begins, idempotent.
-  void enable_rank_index() { index_enabled_ = true; }
-
-  [[nodiscard]] bool rank_index_enabled() const { return index_enabled_; }
-
-  /// Eligible colors in exact EDF rank order (EdfKey in
-  /// algs/ranked_cache.h): nonidle before idle, then ascending color
+  /// Eligible colors in exact EDF rank order (Section 3.1.2 / 3.3):
+  /// nonidle before idle, then ascending color
   /// deadline, then descending drop cost, ascending length, ascending
   /// delay bound, ascending color.  The returned buffer is owned by the
   /// tracker and valid until the next edf_order() or phase call.
   [[nodiscard]] const std::vector<ColorId>& edf_order(
       const PendingJobs& pending);
 
-  /// Up to `max_count` eligible colors in exact dLRU rank order (LruKey:
+  /// Up to `max_count` eligible colors in exact dLRU rank order (Section 3.1.1:
   /// descending effective timestamp, ties ascending color) as of the last
   /// phase round.  The returned buffer is owned by the tracker, distinct
   /// from edf_order()'s, and valid until the next lru_order() or phase
@@ -257,8 +251,7 @@ class EligibilityTracker {
   void note_timestamp_update(ColorId color);
   void note_epoch_end(ColorId color);
 
-  // Rank-index internals (no-ops unless enable_rank_index() preceded
-  // begin()).
+  // Rank-index internals.
   void build_rank_index();
   void cal_insert(ColorId color);
   void cal_remove(ColorId color);
@@ -292,10 +285,9 @@ class EligibilityTracker {
   std::vector<ColorState> state_;
   std::vector<ColorId> eligible_colors_;
 
-  // --- incremental rank index state (built by begin() when enabled) ---
-  bool index_enabled_ = false;
+  // --- incremental rank index state (built by begin()) ---
   Round now_ = -1;  ///< round of the most recent phase call (-1 = none)
-  /// Color -> rank under the static EdfKey tiebreak (drop cost desc,
+  /// Color -> rank under the static EDF tiebreak (drop cost desc,
   /// length asc, delay bound asc, color asc); constant per begin().
   std::vector<std::int32_t> static_rank_;
   /// Deadline calendar: bucket (dd & cal_mask_) holds the eligible colors

@@ -1,7 +1,11 @@
-// One-call experiment runner: algorithm name + instance -> measured record.
+// Experiment runners: algorithm name + instance -> measured record, and
+// the one streaming driver (serial, sharded and supervised runs alike).
 #pragma once
 
+#include <csignal>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "algs/registry.h"
 #include "core/arrival_source.h"
@@ -54,20 +58,30 @@ struct StreamRunRecord {
 [[nodiscard]] std::unique_ptr<Policy> make_stream_policy(
     const std::string& name, EngineOptions& options);
 
-/// Runs the engine-driven algorithm `name` ("dlru", "edf", "dlru-edf",
-/// "adaptive", "seq-edf", "ds-seq-edf") with `n` resources against
-/// `source`, pulling rounds lazily: no schedule recording, no
-/// materialization, memory O(pending + colors).  `max_rounds` caps the
-/// pull (required for infinite sources).  The reduction pipelines
-/// ("distribute", "varbatch") are whole-instance transforms and are not
-/// available here.
+/// Serial streaming run: the K = 1 case of run_streaming_sharded (see
+/// there), returning its merged record.  Runs the engine-driven algorithm
+/// `name` ("dlru", "edf", "dlru-edf", "adaptive", "seq-edf", "ds-seq-edf")
+/// with `n` resources against `source`, pulling rounds lazily: no schedule
+/// recording, no materialization, memory O(pending + colors).
+/// `max_rounds` caps the pull (required for infinite sources).  The
+/// reduction pipelines ("distribute", "varbatch") are whole-instance
+/// transforms and are not available here.
 [[nodiscard]] StreamRunRecord run_streaming(
     ArrivalSource& source, const std::string& name, int n,
     Round max_rounds = kInfiniteHorizon,
     const FaultPlan* fault_plan = nullptr, bool charge_repair = false,
     Observer* observer = nullptr, bool fast_forward = true);
 
-/// Knobs for a sharded streaming run.
+/// Knobs for one streaming run, serial (K = 1) or sharded.  Combinations
+/// the driver cannot run exactly are rejected up front with InputError:
+///   * reshard_every > 0 with a fault plan, caller shard_observers, a
+///     periodic snapshot series (ObsConfig::snapshot_every != 0),
+///     checkpoints (checkpoint_every or resume) or a stop_flag;
+///   * num_shards > 1 over a source without per-color views;
+///   * an infinite source without max_rounds;
+///   * checkpoint_every, resume or stop_flag without checkpoint_dir;
+///   * pending_budget with num_shards > 1;
+///   * shard_observers whose size is not num_shards.
 struct ShardedRunOptions {
   /// Per-color load weights for the plan (see make_shard_plan); empty
   /// means uniform.  Use observe_color_weights on a probe source to
@@ -83,59 +97,68 @@ struct ShardedRunOptions {
   /// EngineOptions::fast_forward).  Bit-identical either way; disable
   /// only to measure the skip.
   bool fast_forward = true;
-  /// Optional merged observability sink (not owned).  When set, the runner
-  /// attaches a fresh Observer (same ObsConfig, no snapshot stream) to
-  /// every shard engine and, after the run, rebuilds this observer as the
-  /// exact additive merge: per-color counters relabeled to global
+  /// Pending-budget admission control (see EngineOptions::pending_budget).
+  /// Serial runs only: one global budget cannot be split across shards
+  /// without changing which arrivals are shed.
+  std::int64_t pending_budget = 0;
+  /// Optional observability sink (not owned).  At K = 1 (with no
+  /// shard_observers) it is the engine's own observer.  At K > 1 the
+  /// driver attaches a fresh Observer (same ObsConfig, no snapshot stream)
+  /// to every shard engine and, after the run, rebuilds this observer as
+  /// the exact additive merge: per-color counters relabeled to global
   /// ColorIds, histograms merged elementwise, phase timers summed,
   /// per-shard snapshot series merged point-wise with carry-forward, and
   /// the final snapshots merged.  If snapshot_out is set on this observer
   /// the merged series is written there (as JSON lines) after the run.
   Observer* observer = nullptr;
   /// Optional caller-provided per-shard observers (size == num_shards; not
-  /// owned); takes precedence over the runner-created ones so tests can
+  /// owned); takes precedence over the driver-created ones so tests can
   /// inspect raw per-shard state.  Entries must not share snapshot
-  /// streams: shards run concurrently.  Incompatible with reshard_every:
-  /// engines are rebuilt at migration boundaries, so per-slot observers
-  /// would silently lose earlier eras.
+  /// streams: shards run concurrently.
   std::vector<Observer*> shard_observers;
-  /// Adaptive re-sharding epoch: every this many rounds the runner takes
-  /// the per-color arrival counts each shard's view served since the
-  /// last boundary, recomputes the LPT plan from them (weights =
+  /// Adaptive re-sharding epoch (K > 1 only): every this many rounds the
+  /// driver takes the per-color arrival counts each shard's view served
+  /// since the last boundary, recomputes the LPT plan from them (weights =
   /// counts + 1), and — if the plan changed — migrates every color's
   /// state (pending jobs, policy scratch) into freshly built engines
   /// under the new plan, whose views reassign() their colors in place.
-  /// 0 (default) disables: one plan for the whole run.  Requires no fault
-  /// plan, no caller shard_observers, and no periodic snapshot series
-  /// (ObsConfig::snapshot_every == 0) — those features assume one engine
-  /// generation per shard.
+  /// 0 (default) disables: one plan for the whole run.
   Round reshard_every = 0;
-  /// Crash-safe checkpoint/resume.  Requires reshard_every == 0 (one
-  /// engine generation per shard) and a source whose views checkpoint
-  /// (each shard's sidecar embeds its own view's position).  Directory
-  /// for `ckpt-<round>.manifest` + `ckpt-<round>.shard<k>` sets; empty
-  /// disables both knobs below.
+  /// Directory of checkpoint sets, created on first write.  A set at round
+  /// r is one sidecar per shard, `ckpt-<r>.shard<k>` (that engine's
+  /// Engine::checkpoint bytes, its source or view embedded), then
+  /// `ckpt-<r>.manifest`, renamed into place last as the commit point.
   std::string checkpoint_dir;
-  /// Write one coordinated checkpoint set (a sidecar per shard engine,
-  /// then the manifest — renamed into place last, as the commit point)
-  /// when every shard reaches this round, then keep running.  0 = never.
-  /// Checkpointing never perturbs results: the run stays bit-identical to
-  /// one without it.
-  Round checkpoint_at = 0;
+  /// Write a checkpoint set at every interior multiple of this many rounds
+  /// (aligned to round 0, so a resumed run writes at the same rounds as
+  /// an uninterrupted one); 0 = none.  Checkpointing never perturbs
+  /// results: the run stays bit-identical to one without it.
+  Round checkpoint_every = 0;
+  /// Checkpoint sets retained on disk; after each write older sets are
+  /// deleted, manifest first.  Must be >= 1.
+  int checkpoint_keep = 3;
+  /// Cooperative shutdown: when non-null and set non-zero (e.g. by a
+  /// SIGTERM handler installed via install_signal_stop), the run stops at
+  /// the next segment boundary, writes a checkpoint set of the exact stop
+  /// point, and returns with finished == false.  Checked between
+  /// segments, so segments are bounded to 1024 rounds when
+  /// checkpoint_every == 0.
+  volatile std::sig_atomic_t* stop_flag = nullptr;
   /// Before running, restore every shard from the newest valid checkpoint
-  /// set in checkpoint_dir (corrupt or incomplete sets are skipped to the
-  /// next-oldest; InputError when none is usable).  The resumed run's
-  /// merged record is bit-identical to the uninterrupted run's.
+  /// set in checkpoint_dir (a set whose manifest does not match this run,
+  /// or whose sidecars fail validation, is skipped to the next-oldest;
+  /// InputError when none is usable).  The resumed run's records are
+  /// bit-identical to the uninterrupted run's.
   bool resume = false;
 };
 
-/// Outcome of one sharded streaming run: the per-shard records plus their
-/// merge.  The merged CostBreakdown/executed/arrived are exact sums (the
-/// color partition makes shards independent); merged rounds is the
-/// maximum over shards and merged peak_pending the sum of per-shard peaks
-/// (shards run asynchronously, so the true global peak is unobservable —
-/// the sum is a deterministic upper bound).  Merged policy stats sum
-/// per-key over shards.
+/// Outcome of one streaming run: the per-shard records plus their merge.
+/// The merged CostBreakdown/executed/arrived are exact sums (the color
+/// partition makes shards independent); merged rounds is the maximum over
+/// shards and merged peak_pending the sum of per-shard peaks (shards run
+/// asynchronously, so the true global peak is unobservable — the sum is a
+/// deterministic upper bound).  Merged policy stats sum per key over
+/// shards.  At K = 1 the merged record is the shard's own.
 struct ShardedRunRecord {
   StreamRunRecord merged;                ///< n = total budget
   std::vector<StreamRunRecord> shards;   ///< per-shard, n = shard slice
@@ -147,21 +170,53 @@ struct ShardedRunRecord {
   /// final era's.
   std::vector<Round> reshard_rounds;
   std::vector<int> reshard_moved_colors;
+  /// True when the run reached its natural end (arrivals exhausted and
+  /// drained); false when the stop flag ended it early.
+  bool finished = false;
+  /// Next round the engines would have run when the call returned (==
+  /// merged.rounds when finished).
+  Round stopped_at = 0;
+  /// Round of the checkpoint set the run resumed from; -1 for a fresh
+  /// start.
+  Round recovered_from = -1;
+  int checkpoints_written = 0;  ///< sets committed by this call
+  /// Manifest of the last set this call committed; empty when none.
+  std::string final_checkpoint;
 };
 
-/// Runs `name` against `source` split into `num_shards` independent
-/// engines (own PendingJobs, CacheAssignment, and policy instance per
-/// shard) over the shared global_pool().  The color partition mirrors the
-/// paper's Distribute reduction, so shards never contend: each shard
-/// engine pulls its own per-color view of `source` (ArrivalSource::view),
-/// results are run-to-run deterministic for a fixed (source seed,
-/// num_shards), and num_shards == 1 is bit-identical to run_streaming.
-/// A source without views is rejected with InputError when
-/// num_shards > 1; with one shard it is run directly.  When the pool has
-/// fewer workers than shards the engines run serially (same results).
+/// The streaming driver.  Runs `name` against `source` split into
+/// `num_shards` independent engines (own PendingJobs, CacheAssignment, and
+/// policy instance per shard).  The color partition mirrors the paper's
+/// Distribute reduction, so shards never contend: each shard engine pulls
+/// its own per-color view of `source` (ArrivalSource::view) and results
+/// are run-to-run deterministic for a fixed (source seed, num_shards).
+/// num_shards == 1 is the serial run: the engine pulls `source` itself on
+/// the caller's thread.  K > 1 runs the shards over the shared
+/// global_pool(); when it has fewer workers than shards the engines run
+/// serially (same results).  See ShardedRunOptions for supervision
+/// (checkpoint cadence, rotation, stop flag, resume) and for the
+/// combinations that are rejected.
 [[nodiscard]] ShardedRunRecord run_streaming_sharded(
     ArrivalSource& source, const std::string& name, int n, int num_shards,
     Round max_rounds = kInfiniteHorizon,
     const ShardedRunOptions& options = {});
+
+/// One discovered checkpoint file.
+struct CheckpointFile {
+  Round round = 0;
+  std::filesystem::path path;
+};
+
+/// Lists `ckpt-<round><suffix>` files in `dir`, newest (highest round)
+/// first.  Non-matching names are ignored; a missing directory yields an
+/// empty list.
+[[nodiscard]] std::vector<CheckpointFile> list_checkpoints(
+    const std::filesystem::path& dir, const std::string& suffix);
+
+/// Installs a SIGTERM + SIGINT handler that sets `*flag` to 1 (the flag
+/// must outlive the handler).  Returns false when either registration
+/// failed.  Handlers write only the sig_atomic_t flag, so they are
+/// async-signal-safe; call once per process.
+bool install_signal_stop(volatile std::sig_atomic_t* flag);
 
 }  // namespace rrs

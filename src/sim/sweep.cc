@@ -11,12 +11,4 @@ std::vector<std::vector<std::string>> run_sweep(
   return rows;
 }
 
-std::vector<StreamRunRecord> run_streaming_sweep(
-    const std::vector<std::function<StreamRunRecord()>>& cells) {
-  std::vector<StreamRunRecord> records(cells.size());
-  parallel_for(cells.size(),
-               [&](std::size_t i) { records[i] = cells[i](); });
-  return records;
-}
-
 }  // namespace rrs

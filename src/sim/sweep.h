@@ -11,20 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "sim/runner.h"
-
 namespace rrs {
 
 /// Runs `cells` (each returning one row) in parallel; returns rows in
 /// input order.
 [[nodiscard]] std::vector<std::vector<std::string>> run_sweep(
     const std::vector<std::function<std::vector<std::string>()>>& cells);
-
-/// Runs streaming cells in parallel; each cell owns its own source (the
-/// pull contract is single-consumer), so 10M+ round sweeps run one lazy
-/// stream per core with no materialization.  Records come back in input
-/// order.
-[[nodiscard]] std::vector<StreamRunRecord> run_streaming_sweep(
-    const std::vector<std::function<StreamRunRecord()>>& cells);
 
 }  // namespace rrs

@@ -183,8 +183,8 @@ TEST_P(CheckpointRoundTrip, ShardedBitIdentical) {
   // round is picked inside the horizon itself.
   ShardedRunOptions writing = base;
   writing.checkpoint_dir = dir.string();
-  writing.checkpoint_at = ref_source->horizon() / 2;
-  ASSERT_GT(writing.checkpoint_at, 0);
+  writing.checkpoint_every = ref_source->horizon() / 2;
+  ASSERT_GT(writing.checkpoint_every, 0);
   const auto ckpt_source = make_source(family, seed);
   const ShardedRunRecord checkpointed = run_streaming_sharded(
       *ckpt_source, algorithm, 8, 2, kInfiniteHorizon, writing);
@@ -230,14 +230,16 @@ std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
 INSTANTIATE_TEST_SUITE_P(Matrix, CheckpointRoundTrip,
                          ::testing::ValuesIn(all_cells()), cell_name);
 
-/// A K=2 dlru-edf sharded run over `source` that checkpoints at round `at`
-/// into `dir`, or (at == 0) resumes from the newest usable set there.
+/// A K=2 dlru-edf sharded run over `source` that checkpoints every
+/// `every` rounds into `dir`, or (every == 0) resumes from the newest
+/// usable set there.
 ShardedRunRecord run_sharded_ckpt(ArrivalSource& source,
-                                  const std::filesystem::path& dir, Round at) {
+                                  const std::filesystem::path& dir,
+                                  Round every) {
   ShardedRunOptions options;
   options.checkpoint_dir = dir.string();
-  options.checkpoint_at = at;
-  options.resume = at == 0;
+  options.checkpoint_every = every;
+  options.resume = every == 0;
   return run_streaming_sharded(source, "dlru-edf", 8, 2, kInfiniteHorizon,
                                options);
 }
@@ -297,11 +299,10 @@ TEST(CheckpointShardedFallback, CorruptNewestSetFallsBackToOlder) {
   const auto ref_source = make_source("random-batched", 3);
   const ShardedRunRecord reference =
       run_streaming_sharded(*ref_source, "dlru-edf", 8, 2);
-  for (const Round at : {Round{60}, Round{120}}) {
-    (void)run_sharded_ckpt(*make_source("random-batched", 3), dir, at);
-  }
+  // Sets at rounds 120 and 240 (horizon 256).
+  (void)run_sharded_ckpt(*make_source("random-batched", 3), dir, 120);
 
-  const std::filesystem::path damaged = dir / "ckpt-120.shard1";
+  const std::filesystem::path damaged = dir / "ckpt-240.shard1";
   ASSERT_TRUE(std::filesystem::exists(damaged));
   const auto middle =
       static_cast<std::streamoff>(std::filesystem::file_size(damaged) / 2);
@@ -312,9 +313,10 @@ TEST(CheckpointShardedFallback, CorruptNewestSetFallsBackToOlder) {
   f.put(static_cast<char>(byte ^ 0x5a));
   f.close();
 
-  expect_identical(reference,
-                   run_sharded_ckpt(*make_source("random-batched", 3), dir, 0),
-                   "fallback");
+  const ShardedRunRecord resumed =
+      run_sharded_ckpt(*make_source("random-batched", 3), dir, 0);
+  EXPECT_EQ(resumed.recovered_from, 120);
+  expect_identical(reference, resumed, "fallback");
   std::filesystem::remove_all(dir);
 }
 
@@ -575,6 +577,40 @@ TEST(AdmissionControl, BudgetStateSurvivesCheckpoint) {
   expect_identical(straight, resumed, "budgeted round trip");
 }
 
+// The same budgeted run through the driver: a checkpoint set written
+// inside the spike resumes to the uninterrupted run's records, admission
+// rejections included.
+TEST(AdmissionControl, DriverBudgetResumesBitIdentical) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ckpt_driver_budget";
+  std::filesystem::remove_all(dir);
+  ShardedRunOptions options;
+  options.pending_budget = 24;
+  const auto run = [&](const ShardedRunOptions& o) {
+    return run_streaming_sharded(*make_source("flash-crowd", 9), "dlru-edf",
+                                 4, 1, kInfiniteHorizon, o);
+  };
+  const ShardedRunRecord reference = run(options);
+  ASSERT_GT(reference.merged.admission_rejected, 0);
+
+  ShardedRunOptions writing = options;
+  writing.checkpoint_dir = dir.string();
+  writing.checkpoint_every = 160;
+  expect_identical(reference.merged, run(writing).merged, "checkpointed");
+  // Keep only the set at round 160, inside the spike.
+  for (const CheckpointFile& m : list_checkpoints(dir, ".manifest")) {
+    if (m.round != 160) std::filesystem::remove(m.path);
+  }
+
+  ShardedRunOptions resuming = options;
+  resuming.checkpoint_dir = dir.string();
+  resuming.resume = true;
+  const ShardedRunRecord resumed = run(resuming);
+  EXPECT_EQ(resumed.recovered_from, 160);
+  expect_identical(reference.merged, resumed.merged, "resumed");
+  std::filesystem::remove_all(dir);
+}
+
 // --- format pin -----------------------------------------------------------
 
 // tests/data/dense_mid_run.rrsckpt was written by checkpoint format 1.0
@@ -664,6 +700,26 @@ TEST(CheckpointFormat, CommittedDenseCheckpointResumesBitIdentical) {
   const EngineResult resumed = engine.finish();
   expect_identical(reference, resumed, "committed dense checkpoint");
   EXPECT_GT(resumed.arrived, 0);
+}
+
+// The driver's serial checkpoint set holds one sidecar, and it is exactly
+// the engine's own checkpoint: the committed fixture, byte for byte.
+TEST(CheckpointFormat, DriverSidecarIsTheEngineCheckpoint) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ckpt_driver_k1";
+  std::filesystem::remove_all(dir);
+  ShardedRunOptions options;
+  options.checkpoint_dir = dir.string();
+  options.checkpoint_every = kPinnedRound;
+  const ShardedRunRecord record = run_streaming_sharded(
+      *dense_source(), "dlru-edf", 8, 1, kInfiniteHorizon, options);
+  EXPECT_EQ(record.checkpoints_written, 1);
+  EXPECT_TRUE(std::filesystem::exists(dir / "ckpt-700.manifest"));
+  std::ifstream in(dir / "ckpt-700.shard0", std::ios::binary);
+  const std::string sidecar{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+  EXPECT_EQ(sidecar, read_fixture("dense_mid_run.rrsckpt"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ void expect_same_stream_record(const StreamRunRecord& got,
   EXPECT_EQ(got.stats, want.stats) << label;
 }
 
-using Cell = std::tuple<const char*, const char*, std::uint64_t>;
+using Cell = std::tuple<std::string, std::string, std::uint64_t>;
 
 class TierEquivalenceMatrix : public ::testing::TestWithParam<Cell> {};
 
@@ -168,7 +168,7 @@ TEST_P(TierEquivalenceMatrix, StreamingAndShardedAreBitIdentical) {
 }
 
 std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
-  std::string name = std::string(std::get<0>(info.param)) + "_" +
+  std::string name = std::get<0>(info.param) + "_" +
                      std::get<1>(info.param) + "_s" +
                      std::to_string(std::get<2>(info.param));
   for (char& ch : name) {
@@ -177,13 +177,23 @@ std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
   return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, TierEquivalenceMatrix,
-    ::testing::Combine(::testing::ValuesIn(kStreamingAlgorithms),
-                       ::testing::ValuesIn(kFamilies),
-                       ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
-                                         std::uint64_t{3})),
-    cell_name);
+std::vector<Cell> all_cells() {
+  std::vector<Cell> cells;
+  for (const char* const algorithm : kStreamingAlgorithms) {
+    for (const char* const family : kFamilies) {
+      for (const std::uint64_t seed :
+           {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}}) {
+        cells.emplace_back(algorithm, family, seed);
+      }
+    }
+  }
+  return cells;
+}
+
+// Parameters are strings, so gtest prints them (and ctest names them) by
+// value: the test names are the same on every build.
+INSTANTIATE_TEST_SUITE_P(Matrix, TierEquivalenceMatrix,
+                         ::testing::ValuesIn(all_cells()), cell_name);
 
 // --- weighted-drop cross-layer parity --------------------------------------
 

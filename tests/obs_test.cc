@@ -471,6 +471,78 @@ TEST(ObserverRun, PeriodicSnapshotsAreCumulativeAndWritten) {
   EXPECT_EQ(parsed.back(), observer.final_snapshot);
 }
 
+/// Everything a run leaves on its Observer, plus what it wrote to
+/// snapshot_out.  Phase timers are wall clock and not compared.
+struct ObservedRun {
+  StreamStats stats;
+  std::vector<TraceEvent> trace;
+  std::int64_t trace_pushed = 0;
+  std::vector<Snapshot> snapshots;
+  Snapshot final_snapshot;
+  std::string snapshot_out;
+};
+
+/// Runs dlru-edf on 8 resources over flash-crowd seed 4 with a tracing,
+/// snapshotting Observer, driven by `run`.
+template <class Run>
+ObservedRun observe(const Run& run) {
+  ObsConfig config;
+  config.snapshot_every = 64;
+  Observer observer(config);
+  std::ostringstream sink;
+  observer.snapshot_out = &sink;
+  const auto source = make_source("flash-crowd", 4);
+  run(*source, observer);
+  return {observer.stats,         observer.trace.events(),
+          observer.trace.total_pushed(), observer.snapshots,
+          observer.final_snapshot, sink.str()};
+}
+
+void expect_same_observation(const ObservedRun& got, const ObservedRun& want,
+                             const std::string& label) {
+  EXPECT_EQ(got.stats, want.stats) << label;
+  EXPECT_EQ(got.trace, want.trace) << label;
+  EXPECT_EQ(got.trace_pushed, want.trace_pushed) << label;
+  EXPECT_EQ(got.snapshots, want.snapshots) << label;
+  EXPECT_EQ(got.final_snapshot, want.final_snapshot) << label;
+  EXPECT_EQ(got.snapshot_out, want.snapshot_out) << label;
+}
+
+// K = 1 hands the caller's Observer to the one engine: the driver leaves
+// exactly what the engine itself leaves there (the trace ring included,
+// which a merge would rebuild from scratch), whether it is reached through
+// run_streaming or run_streaming_sharded.
+TEST(ObserverRun, SingleShardObserverIsTheEngines) {
+  const ObservedRun engine = observe([](ArrivalSource& source,
+                                        Observer& observer) {
+    EngineOptions options;
+    const std::unique_ptr<Policy> policy =
+        make_stream_policy("dlru-edf", options);
+    options.num_resources = 8;
+    options.record_schedule = false;
+    options.drain_pending = true;
+    options.observer = &observer;
+    (void)run_policy(source, *policy, options);
+  });
+  ASSERT_GT(engine.trace_pushed, 0);
+  ASSERT_FALSE(engine.snapshots.empty());
+
+  expect_same_observation(
+      observe([](ArrivalSource& source, Observer& observer) {
+        (void)run_streaming(source, "dlru-edf", 8, kInfiniteHorizon, nullptr,
+                            false, &observer);
+      }),
+      engine, "run_streaming");
+  expect_same_observation(
+      observe([](ArrivalSource& source, Observer& observer) {
+        ShardedRunOptions options;
+        options.observer = &observer;
+        (void)run_streaming_sharded(source, "dlru-edf", 8, 1,
+                                    kInfiniteHorizon, options);
+      }),
+      engine, "run_streaming_sharded K=1");
+}
+
 TEST(ObserverRun, PhaseTimersAttributeEveryActivePhase) {
   ObsConfig config;
   config.timers = true;

@@ -8,12 +8,12 @@
 
 #include "algs/dlru_edf.h"
 #include "algs/edf.h"
-#include "algs/ranked_cache.h"
 #include "core/fault_plan.h"
 #include "core/validator.h"
 #include "offline/exact_bnb.h"
 #include "offline/greedy_offline.h"
 #include "offline/lower_bound.h"
+#include "rank_reference.h"
 #include "sim/ratio.h"
 #include "sim/runner.h"
 #include "util/rng.h"
@@ -72,7 +72,7 @@ class LruInvariantPolicy : public DLruEdfPolicy {
     if (ctx.final_sweep()) return;
     const Round k = ctx.round();
     std::vector<ColorId> eligible = tracker().eligible_colors();
-    lru_sort(eligible, tracker(), k);
+    testing::lru_sort(eligible, tracker(), k);
     const auto lru_size =
         std::min(eligible.size(),
                  static_cast<std::size_t>(ctx.cache().max_distinct() / 2));

@@ -1,29 +1,29 @@
 // The incremental rank index (EligibilityTracker::edf_order / lru_order)
 // must reproduce the sort-based reference rankings exactly, round for
 // round: the deadline-bucket calendar against edf_sort, the intrusive
-// recency list against lru_sort.  Differential tests drive an indexed
-// tracker and a plain twin through identical phase sequences — arrivals,
-// drops, executions, cache churn, counter wraps, ring wrap-around,
-// migration handoff — and compare orders after every round.
+// recency list against lru_sort (tests/rank_reference.h).  Differential
+// tests drive a tracker through phase sequences — arrivals, drops,
+// executions, cache churn, counter wraps, ring wrap-around, migration
+// handoff — and compare orders after every round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "algs/ranked_cache.h"
 #include "core/cache.h"
 #include "core/color_state.h"
 #include "core/instance.h"
 #include "core/pending.h"
+#include "rank_reference.h"
 #include "util/rng.h"
 
 namespace rrs {
 namespace {
 
-/// Drives an indexed tracker and a plain twin through identical rounds
-/// against one shared PendingJobs / CacheAssignment, the way the engine
-/// would, and checks both rankings after each round.
+/// Drives a tracker against one PendingJobs / CacheAssignment, the way the
+/// engine would, and checks both rankings against the reference sorts of
+/// its eligible set after each round.
 class DualHarness {
  public:
   explicit DualHarness(Instance instance, int resources = 4,
@@ -33,20 +33,16 @@ class DualHarness {
         cache_(resources, replication) {
     cache_.ensure_colors(instance_.num_colors());
     pending_.reset(instance_.num_colors());
-    indexed_.enable_rank_index();
     indexed_.begin(source_);
-    plain_.begin(source_);
   }
 
   /// One engine round: expiry sweep, drop phase, arrivals, arrival phase.
   void step() {
     pending_.drop_expired(k_, dropped_);
     indexed_.drop_phase(k_, dropped_, cache_);
-    plain_.drop_phase(k_, dropped_, cache_);
     const auto arrivals = instance_.arrivals_in_round(k_);
     for (const Job& job : arrivals) pending_.add(job);
     indexed_.arrival_phase(k_, arrivals);
-    plain_.arrival_phase(k_, arrivals);
     ++k_;
   }
 
@@ -54,12 +50,12 @@ class DualHarness {
   /// lru_order prefixes (the capacity-capped walk a policy issues).
   void check_orders() {
     const Round now = k_ - 1;
-    std::vector<ColorId> edf_ref = plain_.eligible_colors();
-    edf_sort(edf_ref, source_, plain_, pending_);
+    std::vector<ColorId> edf_ref = indexed_.eligible_colors();
+    testing::edf_sort(edf_ref, indexed_, pending_);
     EXPECT_EQ(indexed_.edf_order(pending_), edf_ref) << "round " << now;
 
-    std::vector<ColorId> lru_ref = plain_.eligible_colors();
-    lru_sort(lru_ref, plain_, now);
+    std::vector<ColorId> lru_ref = indexed_.eligible_colors();
+    testing::lru_sort(lru_ref, indexed_, now);
     for (const std::size_t cap :
          {std::size_t{0}, std::size_t{1}, std::size_t{2}, lru_ref.size()}) {
       const auto take = std::min(cap, lru_ref.size());
@@ -95,7 +91,6 @@ class DualHarness {
   [[nodiscard]] Round round() const { return k_; }
   [[nodiscard]] Instance& instance() { return instance_; }
   [[nodiscard]] EligibilityTracker& indexed() { return indexed_; }
-  [[nodiscard]] EligibilityTracker& plain() { return plain_; }
 
  private:
   Instance instance_;
@@ -103,7 +98,6 @@ class DualHarness {
   CacheAssignment cache_;
   PendingJobs pending_;
   EligibilityTracker indexed_;
-  EligibilityTracker plain_;
   PendingJobs::DropResult dropped_;
   Round k_ = 0;
 };
@@ -223,10 +217,10 @@ TEST(RankIndexWraps, SecondWrapInBlockReordersRecency) {
 }
 
 TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
-  // Export every color from a mid-run indexed tracker into a fresh pair
-  // (indexed + plain twin), then keep driving: the dirty-import protocol
-  // must link the imported colors with the timestamps the plain twin
-  // computes, and every later round must still match the sorts.
+  // Export every color from a mid-run tracker into a fresh one, then keep
+  // driving: the dirty-import protocol must link the imported colors with
+  // the timestamps the reference sort computes, and every later round
+  // must still match the sorts.
   const Instance instance = random_instance(42, /*pow2_only=*/true);
   MaterializedSource source(instance);
   CacheAssignment cache(4, 2);
@@ -236,7 +230,6 @@ TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
   PendingJobs::DropResult dropped;
 
   EligibilityTracker original;
-  original.enable_rank_index();
   original.begin(source);
   const Round handoff = 48;
   for (Round k = 0; k < handoff; ++k) {
@@ -248,31 +241,25 @@ TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
   }
 
   EligibilityTracker indexed;
-  indexed.enable_rank_index();
   indexed.begin(source);
-  EligibilityTracker plain;
-  plain.begin(source);
   for (ColorId c = 0; c < instance.num_colors(); ++c) {
     const PolicyColorState state = original.export_color(c);
     indexed.import_color(c, state);
-    plain.import_color(c, state);
   }
 
   Rng rng(99);
   for (Round k = handoff; k < instance.horizon() + 16; ++k) {
     pending.drop_expired(k, dropped);
     indexed.drop_phase(k, dropped, cache);
-    plain.drop_phase(k, dropped, cache);
     const auto arrivals = instance.arrivals_in_round(k);
     for (const Job& job : arrivals) pending.add(job);
     indexed.arrival_phase(k, arrivals);
-    plain.arrival_phase(k, arrivals);
 
-    std::vector<ColorId> edf_ref = plain.eligible_colors();
-    edf_sort(edf_ref, source, plain, pending);
+    std::vector<ColorId> edf_ref = indexed.eligible_colors();
+    testing::edf_sort(edf_ref, indexed, pending);
     EXPECT_EQ(indexed.edf_order(pending), edf_ref) << "round " << k;
-    std::vector<ColorId> lru_ref = plain.eligible_colors();
-    lru_sort(lru_ref, plain, k);
+    std::vector<ColorId> lru_ref = indexed.eligible_colors();
+    testing::lru_sort(lru_ref, indexed, k);
     EXPECT_EQ(indexed.lru_order(lru_ref.size()), lru_ref) << "round " << k;
   }
 }

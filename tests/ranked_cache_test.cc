@@ -1,17 +1,22 @@
-// Tests for algs/ranked_cache: the shared EDF and dLRU orderings.
+// Tests for the reference EDF and dLRU orderings (rank_reference.h) that
+// the tracker's incremental rank index is pinned against.
 #include <gtest/gtest.h>
 
 #include <optional>
 
-#include "algs/ranked_cache.h"
 #include "core/arrival_source.h"
 #include "core/cache.h"
 #include "core/color_state.h"
 #include "core/instance.h"
 #include "core/pending.h"
+#include "rank_reference.h"
 
 namespace rrs {
 namespace {
+
+using testing::EdfKey;
+using testing::edf_sort;
+using testing::lru_sort;
 
 TEST(EdfKey, OrderingPrecedence) {
   // Field order: {idle, color_deadline, weight, length, delay_bound, color}.
@@ -89,7 +94,7 @@ TEST_F(RankingFixture, EdfSortFollowsColorDeadlines) {
   // slow's 8.  fast re-batched at 2 -> deadline 4; medium still 4 but
   // larger delay bound; slow latest.
   std::vector<ColorId> colors{slow_, medium_, fast_};
-  edf_sort(colors, *source_, tracker_, pending_);
+  edf_sort(colors, tracker_, pending_);
   EXPECT_EQ(colors[0], fast_);   // deadline 4, delay 2
   EXPECT_EQ(colors[1], medium_); // deadline 4, delay 4
   EXPECT_EQ(colors[2], slow_);   // deadline 8
@@ -100,7 +105,7 @@ TEST_F(RankingFixture, IdleColorsSinkToTheBottom) {
   // Drain fast's pending jobs: it becomes idle and must rank last.
   while (!pending_.idle(fast_)) (void)pending_.pop_earliest(fast_);
   std::vector<ColorId> colors{fast_, medium_, slow_};
-  edf_sort(colors, *source_, tracker_, pending_);
+  edf_sort(colors, tracker_, pending_);
   EXPECT_EQ(colors.back(), fast_);
 }
 

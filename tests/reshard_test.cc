@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
+#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -396,6 +398,31 @@ TEST(ReshardTest, RejectsIncompatibleFeatures) {
     EXPECT_THROW((void)run_streaming_sharded(source, "dlru-edf", 16, 2,
                                              kInfiniteHorizon, with_series),
                  InputError);
+  }
+  {
+    // Checkpoint sets hold one engine generation per shard, and a stopped
+    // run ends in one: neither cadence, resume nor a stop flag may
+    // re-shard.  Nothing is written before the rejection.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "reshard_ckpt";
+    std::filesystem::remove_all(dir);
+    volatile std::sig_atomic_t flag = 0;
+    ShardedRunOptions cadence = options;
+    cadence.checkpoint_dir = dir.string();
+    cadence.checkpoint_every = 128;
+    ShardedRunOptions resume = options;
+    resume.checkpoint_dir = dir.string();
+    resume.resume = true;
+    ShardedRunOptions stop = options;
+    stop.checkpoint_dir = dir.string();
+    stop.stop_flag = &flag;
+    for (const ShardedRunOptions& supervised : {cadence, resume, stop}) {
+      FlashCrowdSource source(reshard_crowd_params());
+      EXPECT_THROW((void)run_streaming_sharded(source, "dlru-edf", 16, 2,
+                                               kInfiniteHorizon, supervised),
+                   InputError);
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir));
   }
   {
     FlashCrowdSource source(reshard_crowd_params());

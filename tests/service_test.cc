@@ -1,7 +1,9 @@
-// Supervised service mode: checkpoint cadence + rotation, recovery from
-// the newest valid checkpoint (corrupt files skipped to the next-oldest),
-// stop-and-checkpoint, and the kill-and-resume integration test (SIGKILL
-// mid-run via fork, recover, bit-identical totals).
+// Supervised runs through the streaming driver: checkpoint cadence +
+// rotation, recovery from the newest valid checkpoint set (corrupt sets
+// skipped to the next-oldest), stop-and-checkpoint, and the
+// kill-and-resume integration test (SIGKILL mid-run via fork, recover,
+// bit-identical totals).  Sets are `ckpt-<r>.shard<k>` sidecars plus a
+// `ckpt-<r>.manifest` for every shard count, the serial K = 1 included.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "sim/runner.h"
-#include "sim/service.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
 
@@ -56,73 +57,75 @@ void expect_identical(const StreamRunRecord& a, const StreamRunRecord& b) {
   EXPECT_EQ(a.stats, b.stats);
 }
 
-TEST(ServiceRun, BitIdenticalToStreamingAndRotatesCheckpoints) {
-  const auto dir = test_dir("rotate");
+/// Supervised dlru-edf run on 8 resources split into `shards` engines.
+ShardedRunRecord supervised(ArrivalSource& source, int shards,
+                            const ShardedRunOptions& options) {
+  return run_streaming_sharded(source, "dlru-edf", 8, shards,
+                               kInfiniteHorizon, options);
+}
+
+ShardedRunOptions with_dir(const std::filesystem::path& dir) {
+  ShardedRunOptions options;
+  options.checkpoint_dir = dir.string();
+  return options;
+}
+
+/// A cadence run is bit-identical to an unsupervised one and keeps only
+/// the newest `checkpoint_keep` sets: manifest plus one sidecar per shard.
+void check_rotation(int shards) {
+  const auto dir = test_dir("rotate_k" + std::to_string(shards));
   const auto plain = make_source(1);
-  const StreamRunRecord reference = run_streaming(*plain, "dlru-edf", 8);
+  const ShardedRunRecord reference = supervised(*plain, shards, {});
 
   const auto source = make_source(1);
-  ServiceOptions options;
-  options.checkpoint_dir = dir.string();
+  ShardedRunOptions options = with_dir(dir);
   options.checkpoint_every = 64;
   options.checkpoint_keep = 2;
-  const ServiceResult result = run_service(*source, "dlru-edf", 8, options);
+  const ShardedRunRecord result = supervised(*source, shards, options);
 
   EXPECT_TRUE(result.finished);
   EXPECT_EQ(result.recovered_from, -1);
-  expect_identical(reference, result.record);
-  // Interior boundaries at 64, 128, ..., each written; only the last K
-  // survive rotation.
-  EXPECT_GT(result.checkpoints_written, 2);
-  const auto files = list_checkpoints(dir, ".rrsckpt");
-  EXPECT_EQ(files.size(), 2u);
-  EXPECT_EQ(files.front().path.string(), result.final_checkpoint);
+  EXPECT_EQ(result.stopped_at, result.merged.rounds);
+  expect_identical(reference.merged, result.merged);
+  // Interior boundaries at 64, 128, ..., 448, each written; only the last
+  // two sets survive rotation.
+  EXPECT_EQ(result.checkpoints_written, 7);
+  const auto manifests = list_checkpoints(dir, ".manifest");
+  ASSERT_EQ(manifests.size(), 2u);
+  EXPECT_EQ(manifests[0].round, 448);
+  EXPECT_EQ(manifests[1].round, 384);
+  EXPECT_EQ(manifests.front().path.string(), result.final_checkpoint);
+  for (int s = 0; s < shards; ++s) {
+    const auto sidecars =
+        list_checkpoints(dir, ".shard" + std::to_string(s));
+    ASSERT_EQ(sidecars.size(), 2u) << "shard " << s;
+    EXPECT_EQ(sidecars[0].round, 448);
+    EXPECT_EQ(sidecars[1].round, 384);
+  }
+  EXPECT_TRUE(list_checkpoints(dir, ".shard" + std::to_string(shards)).empty());
   std::filesystem::remove_all(dir);
 }
 
-TEST(ServiceRun, ResumesFromNewestCheckpoint) {
-  const auto dir = test_dir("resume");
-  const auto first = make_source(2);
-  ServiceOptions options;
-  options.checkpoint_dir = dir.string();
-  options.checkpoint_every = 128;
-  const ServiceResult full = run_service(*first, "dlru-edf", 8, options);
-  ASSERT_TRUE(full.finished);
-  const auto files = list_checkpoints(dir, ".rrsckpt");
-  ASSERT_FALSE(files.empty());
-
-  // A fresh process restores the newest retained checkpoint and finishes
-  // with the identical record.
-  const auto again = make_source(2);
-  ServiceOptions resume = options;
-  resume.resume = true;
-  const ServiceResult resumed = run_service(*again, "dlru-edf", 8, resume);
-  EXPECT_TRUE(resumed.finished);
-  EXPECT_EQ(resumed.recovered_from, files.front().round);
-  expect_identical(full.record, resumed.record);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ServiceRun, CorruptNewestCheckpointSkipsToOlder) {
-  const auto dir = test_dir("corrupt");
+/// Flipping a byte in the newest set's last sidecar makes recovery fall
+/// back to the next-oldest set, which still finishes bit-identical.
+void check_corrupt_skip(int shards) {
+  const auto dir = test_dir("corrupt_k" + std::to_string(shards));
   const auto first = make_source(3);
-  ServiceOptions options;
-  options.checkpoint_dir = dir.string();
+  ShardedRunOptions options = with_dir(dir);
   options.checkpoint_every = 128;
   options.checkpoint_keep = 3;
-  const ServiceResult full = run_service(*first, "dlru-edf", 8, options);
-  auto files = list_checkpoints(dir, ".rrsckpt");
-  ASSERT_GE(files.size(), 2u);
+  const ShardedRunRecord full = supervised(*first, shards, options);
+  const auto sets = list_checkpoints(dir, ".manifest");
+  ASSERT_GE(sets.size(), 2u);
 
-  // Flip a byte in the middle of the newest file: CRC must reject it and
-  // recovery must fall back to the next-oldest.
+  const std::filesystem::path damaged =
+      dir / ("ckpt-" + std::to_string(sets.front().round) + ".shard" +
+             std::to_string(shards - 1));
   {
-    std::fstream f(files.front().path,
-                   std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream f(damaged, std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(0, std::ios::end);
     const auto size = static_cast<std::int64_t>(f.tellg());
     ASSERT_GT(size, 64);
-    f.seekp(size / 2);
     char byte = 0;
     f.seekg(size / 2);
     f.read(&byte, 1);
@@ -132,59 +135,110 @@ TEST(ServiceRun, CorruptNewestCheckpointSkipsToOlder) {
   }
 
   const auto again = make_source(3);
-  ServiceOptions resume = options;
+  ShardedRunOptions resume = options;
   resume.resume = true;
-  const ServiceResult resumed = run_service(*again, "dlru-edf", 8, resume);
+  const ShardedRunRecord resumed = supervised(*again, shards, resume);
   EXPECT_TRUE(resumed.finished);
-  EXPECT_EQ(resumed.recovered_from, files[1].round);
-  expect_identical(full.record, resumed.record);
+  EXPECT_EQ(resumed.recovered_from, sets[1].round);
+  expect_identical(full.merged, resumed.merged);
   std::filesystem::remove_all(dir);
+}
+
+/// A pre-set stop flag stops the run before its first round, commits a
+/// set of that exact point, and a resume completes it bit-identically.
+void check_stop_flag(int shards) {
+  const auto dir = test_dir("stopflag_k" + std::to_string(shards));
+  const auto plain = make_source(5);
+  const ShardedRunRecord reference = supervised(*plain, shards, {});
+
+  volatile std::sig_atomic_t flag = 1;
+  const auto source = make_source(5);
+  ShardedRunOptions options = with_dir(dir);
+  options.stop_flag = &flag;
+  const ShardedRunRecord stopped = supervised(*source, shards, options);
+  EXPECT_FALSE(stopped.finished);
+  EXPECT_EQ(stopped.stopped_at, 0);
+  EXPECT_EQ(stopped.checkpoints_written, 1);
+  EXPECT_EQ(stopped.merged.arrived, 0);
+  EXPECT_EQ(list_checkpoints(dir, ".manifest").size(), 1u);
+
+  const auto again = make_source(5);
+  ShardedRunOptions resume = options;
+  resume.stop_flag = nullptr;
+  resume.resume = true;
+  const ShardedRunRecord resumed = supervised(*again, shards, resume);
+  EXPECT_TRUE(resumed.finished);
+  EXPECT_EQ(resumed.recovered_from, 0);
+  expect_identical(reference.merged, resumed.merged);
+  ASSERT_EQ(reference.shards.size(), resumed.shards.size());
+  for (std::size_t s = 0; s < reference.shards.size(); ++s) {
+    expect_identical(reference.shards[s], resumed.shards[s]);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceRun, BitIdenticalToStreamingAndRotatesCheckpoints) {
+  check_rotation(1);
+  // K = 1 is the serial run itself.
+  const auto plain = make_source(1);
+  const auto source = make_source(1);
+  expect_identical(run_streaming(*plain, "dlru-edf", 8),
+                   supervised(*source, 1, {}).merged);
+}
+
+TEST(ServiceRun, ShardedRotatesCheckpoints) { check_rotation(2); }
+
+TEST(ServiceRun, ResumesFromNewestCheckpoint) {
+  const auto dir = test_dir("resume");
+  const auto first = make_source(2);
+  ShardedRunOptions options = with_dir(dir);
+  options.checkpoint_every = 128;
+  const ShardedRunRecord full = supervised(*first, 1, options);
+  ASSERT_TRUE(full.finished);
+  const auto sets = list_checkpoints(dir, ".manifest");
+  ASSERT_FALSE(sets.empty());
+
+  // A fresh process restores the newest retained set and finishes with
+  // the identical record.
+  const auto again = make_source(2);
+  ShardedRunOptions resume = options;
+  resume.resume = true;
+  const ShardedRunRecord resumed = supervised(*again, 1, resume);
+  EXPECT_TRUE(resumed.finished);
+  EXPECT_EQ(resumed.recovered_from, sets.front().round);
+  expect_identical(full.merged, resumed.merged);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceRun, CorruptNewestCheckpointSkipsToOlder) { check_corrupt_skip(1); }
+
+TEST(ServiceRun, ShardedCorruptNewestCheckpointSkipsToOlder) {
+  check_corrupt_skip(2);
 }
 
 TEST(ServiceRun, AllCheckpointsCorruptThrows) {
   const auto dir = test_dir("allcorrupt");
   const auto first = make_source(4);
-  ServiceOptions options;
-  options.checkpoint_dir = dir.string();
+  ShardedRunOptions options = with_dir(dir);
   options.checkpoint_every = 128;
-  (void)run_service(*first, "dlru-edf", 8, options);
-  for (const CheckpointFile& c : list_checkpoints(dir, ".rrsckpt")) {
+  (void)supervised(*first, 1, options);
+  const auto sidecars = list_checkpoints(dir, ".shard0");
+  ASSERT_FALSE(sidecars.empty());
+  for (const CheckpointFile& c : sidecars) {
     std::ofstream f(c.path, std::ios::binary | std::ios::trunc);
     f << "garbage";
   }
   const auto again = make_source(4);
-  ServiceOptions resume = options;
+  ShardedRunOptions resume = options;
   resume.resume = true;
-  EXPECT_THROW((void)run_service(*again, "dlru-edf", 8, resume), InputError);
+  EXPECT_THROW((void)supervised(*again, 1, resume), InputError);
   std::filesystem::remove_all(dir);
 }
 
-TEST(ServiceRun, StopFlagCheckpointsAndResumeCompletes) {
-  const auto dir = test_dir("stopflag");
-  const auto plain = make_source(5);
-  const StreamRunRecord reference = run_streaming(*plain, "dlru-edf", 8);
+TEST(ServiceRun, StopFlagCheckpointsAndResumeCompletes) { check_stop_flag(1); }
 
-  // Pre-set flag: the service stops at the first boundary check, writes a
-  // checkpoint of the exact stop point, and reports finished == false.
-  volatile std::sig_atomic_t flag = 1;
-  const auto source = make_source(5);
-  ServiceOptions options;
-  options.checkpoint_dir = dir.string();
-  options.stop_flag = &flag;
-  const ServiceResult stopped = run_service(*source, "dlru-edf", 8, options);
-  EXPECT_FALSE(stopped.finished);
-  EXPECT_EQ(stopped.stopped_at, 0);
-  EXPECT_EQ(stopped.checkpoints_written, 1);
-
-  const auto again = make_source(5);
-  ServiceOptions resume = options;
-  resume.stop_flag = nullptr;
-  resume.resume = true;
-  const ServiceResult resumed = run_service(*again, "dlru-edf", 8, resume);
-  EXPECT_TRUE(resumed.finished);
-  EXPECT_EQ(resumed.recovered_from, 0);
-  expect_identical(reference, resumed.record);
-  std::filesystem::remove_all(dir);
+TEST(ServiceRun, ShardedStopFlagCheckpointsAndResumeCompletes) {
+  check_stop_flag(2);
 }
 
 TEST(ServiceRun, InstallSignalStopSetsFlag) {
@@ -219,8 +273,8 @@ TEST(ServiceRun, ListCheckpointsIgnoresJunkAndSortsNewestFirst) {
 }
 
 #ifdef __unix__
-// The CI kill-and-resume integration test: a forked child runs the
-// service and is SIGKILLed once at least one checkpoint is on disk; the
+// The CI kill-and-resume integration test: a forked child runs a
+// supervised run and is SIGKILLed once at least one checkpoint is on disk; the
 // parent recovers from the survivors and must reproduce the uninterrupted
 // run's totals exactly.  Works whatever the kill lands on — mid-round,
 // mid-write (the temp-file rename keeps half-written files invisible), or
@@ -231,8 +285,7 @@ TEST(ServiceKillAndResume, SigkillRecoversBitIdentical) {
   const auto plain = make_source(6, horizon);
   const StreamRunRecord reference = run_streaming(*plain, "dlru-edf", 8);
 
-  ServiceOptions options;
-  options.checkpoint_dir = dir.string();
+  ShardedRunOptions options = with_dir(dir);
   options.checkpoint_every = 64;
   options.checkpoint_keep = 4;
 
@@ -243,7 +296,7 @@ TEST(ServiceKillAndResume, SigkillRecoversBitIdentical) {
     // no gtest/atexit machinery runs in the forked copy.
     try {
       const auto source = make_source(6, horizon);
-      (void)run_service(*source, "dlru-edf", 8, options);
+      (void)supervised(*source, 1, options);
       _exit(0);
     } catch (...) {
       _exit(1);
@@ -253,23 +306,23 @@ TEST(ServiceKillAndResume, SigkillRecoversBitIdentical) {
   // Parent: wait until the child has committed at least one checkpoint
   // (or exited), then SIGKILL it mid-run.
   for (int spin = 0; spin < 10'000; ++spin) {
-    if (!list_checkpoints(dir, ".rrsckpt").empty()) break;
+    if (!list_checkpoints(dir, ".manifest").empty()) break;
     if (waitpid(child, nullptr, WNOHANG) != 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   kill(child, SIGKILL);
   int status = 0;
   waitpid(child, &status, 0);
-  ASSERT_FALSE(list_checkpoints(dir, ".rrsckpt").empty())
+  ASSERT_FALSE(list_checkpoints(dir, ".manifest").empty())
       << "child died before its first checkpoint";
 
   const auto source = make_source(6, horizon);
-  ServiceOptions resume = options;
+  ShardedRunOptions resume = options;
   resume.resume = true;
-  const ServiceResult recovered = run_service(*source, "dlru-edf", 8, resume);
+  const ShardedRunRecord recovered = supervised(*source, 1, resume);
   EXPECT_TRUE(recovered.finished);
   EXPECT_GE(recovered.recovered_from, 0);
-  expect_identical(reference, recovered.record);
+  expect_identical(reference, recovered.merged);
   std::filesystem::remove_all(dir);
 }
 #endif  // __unix__

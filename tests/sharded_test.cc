@@ -11,6 +11,8 @@
 // deterministic across repetitions with exactly additive costs.
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -631,6 +633,75 @@ TEST(ShardedRunTest, RejectsUnknownAlgorithmAndBadShardCounts) {
   // cannot fit.
   EXPECT_THROW((void)run_streaming_sharded(*source3, "dlru-edf", 8, 5),
                InputError);
+}
+
+// --- The driver's rejection table ------------------------------------------
+//
+// run_streaming_sharded validates its whole option table before it builds
+// any engine (see ShardedRunOptions).  Rows pinned elsewhere: re-sharding
+// x {fault plan, caller shard observers, snapshot series, checkpoints,
+// stop flag} in ReshardTest.RejectsIncompatibleFeatures; K > 1 without
+// views in OpaqueSourceSharding; an infinite source without max_rounds
+// in StreamingContract and ShardedRunTest; the shard observer count in
+// ShardedRunTest.RejectsMismatchedShardObserverCount.
+
+/// A fresh checkpoint directory path that does not exist yet.
+std::string fresh_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("reject_" + name);
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+/// Expects the driver to refuse `options` for dlru-edf on 8 resources
+/// split `shards` ways over a Poisson source, without creating the
+/// checkpoint directory.
+void expect_rejected(const ShardedRunOptions& options, int shards) {
+  const auto source = make_source("poisson", 1);
+  EXPECT_THROW((void)run_streaming_sharded(*source, "dlru-edf", 8, shards,
+                                           kInfiniteHorizon, options),
+               InputError);
+  if (!options.checkpoint_dir.empty()) {
+    EXPECT_FALSE(std::filesystem::exists(options.checkpoint_dir));
+  }
+}
+
+TEST(RejectionTable, CheckpointsNeedDirectory) {
+  ShardedRunOptions cadence;
+  cadence.checkpoint_every = 64;
+  expect_rejected(cadence, 1);
+  ShardedRunOptions resume;
+  resume.resume = true;
+  expect_rejected(resume, 2);
+}
+
+TEST(RejectionTable, StopFlagNeedsDirectory) {
+  volatile std::sig_atomic_t flag = 0;
+  ShardedRunOptions options;
+  options.stop_flag = &flag;
+  expect_rejected(options, 1);
+  expect_rejected(options, 2);
+}
+
+TEST(RejectionTable, PendingBudgetIsSerialOnly) {
+  ShardedRunOptions options;
+  options.pending_budget = 16;
+  expect_rejected(options, 2);
+  const auto source = make_source("poisson", 1);
+  EXPECT_NO_THROW((void)run_streaming_sharded(*source, "dlru-edf", 8, 1,
+                                              kInfiniteHorizon, options));
+}
+
+TEST(RejectionTable, NegativeCadenceAndEmptyRotation) {
+  ShardedRunOptions cadence;
+  cadence.checkpoint_dir = fresh_dir("negative_cadence");
+  cadence.checkpoint_every = -1;
+  expect_rejected(cadence, 1);
+  ShardedRunOptions keep;
+  keep.checkpoint_dir = fresh_dir("keep_zero");
+  keep.checkpoint_every = 64;
+  keep.checkpoint_keep = 0;
+  expect_rejected(keep, 1);
 }
 
 }  // namespace
